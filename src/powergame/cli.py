@@ -144,6 +144,11 @@ def _gains(doc: dict, cfg: NetworkConfig, seed: int, stages: int):
         state = ChannelState(tuple(float(g) for g in doc["gains2"]))
         if len(state.gains2) != cfg.k:
             raise ValueError("gains2 must list one gain per player")
+        for i, (g, lo, hi) in enumerate(zip(state.gains2, cfg.eta_min, cfg.eta_max)):
+            if not lo <= g <= hi:
+                raise ChannelConfigError(
+                    f"gains2 entry {g} of player {i + 1} lies outside its "
+                    f"bounds [eta_min, eta_max] = [{lo}, {hi}]")
         return [state] * stages
     chan = dict(doc.get("channel", {}))
     chan.setdefault("mode", "constant")

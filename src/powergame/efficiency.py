@@ -18,11 +18,19 @@ coefficient A >= 0:
 
 Roots are isolated with an expanding bracket and refined by bisection.  The
 equations are evaluated in the ratio form x*(1 - A*x)*f'(x)/f(x) - 1, which
-stays finite where f itself underflows (tiny SINR, large m).
+stays finite where f itself underflows (tiny SINR, large m).  The ratios
+f'/f and f''/f' take a scalar path on floats (numpy scalar ufuncs, no array
+round trip) whose bits equal the array path's.
+
+The cooperative root is unique when h(x) = f''/f' - 2(k-1)/(n-(k-1)x)
+changes sign exactly once, from + to -, on (0, n/(k-1)).  Both families
+settle this by a sign argument instead of a numeric scan (see
+``check_op_condition``).
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from math import log2
@@ -49,6 +57,31 @@ def _check_domain(x, positive: bool) -> np.ndarray:
 
 def _as_input(x, arr: np.ndarray):
     return float(arr) if np.ndim(x) == 0 else arr
+
+
+def _positive_ratio(formula):
+    """Method evaluating `formula` on a strictly positive SINR or SINR array.
+
+    A float (numpy float64 included) takes the scalar path the root solvers
+    use: the domain check and the formula run on the float itself, with no
+    array round trip.  Formulas use numpy ufuncs (``np.exp``, never
+    ``math.exp``) and ``x * x`` (never ``x**2``) so that both paths round
+    identically.
+    """
+
+    @functools.wraps(formula)
+    def method(self, x):
+        if isinstance(x, float):
+            if x <= 0.0:
+                raise ValueError("SINR must be strictly positive here")
+            try:
+                return float(formula(self, x))
+            except ZeroDivisionError:
+                pass  # x * x underflowed; the array path returns inf instead
+        arr = _check_domain(x, positive=True)
+        return _as_input(x, formula(self, arr))
+
+    return method
 
 
 @dataclass(frozen=True)
@@ -80,17 +113,17 @@ class PacketSuccess:
             raise ValueError("order must be 1 or 2")
         return _as_input(x, out)
 
+    @_positive_ratio
     def dlog(self, x):
         """f'(x)/f(x), computed without forming f (safe under underflow)."""
-        arr = _check_domain(x, positive=True)
-        e = np.exp(-arr)
-        return _as_input(x, self.m * e / (1.0 - e))
+        e = np.exp(-x)
+        return self.m * e / (1.0 - e)
 
+    @_positive_ratio
     def curvature_ratio(self, x):
         """f''(x)/f'(x) in closed form."""
-        arr = _check_domain(x, positive=True)
-        e = np.exp(-arr)
-        return _as_input(x, (self.m * e - 1.0) / (1.0 - e))
+        e = np.exp(-x)
+        return (self.m * e - 1.0) / (1.0 - e)
 
 
 @dataclass(frozen=True)
@@ -134,13 +167,13 @@ class InfoTheoretic:
             raise ValueError("order must be 1 or 2")
         return _as_input(x, out)
 
+    @_positive_ratio
     def dlog(self, x):
-        arr = _check_domain(x, positive=True)
-        return _as_input(x, self.c / arr**2)
+        return self.c / (x * x)
 
+    @_positive_ratio
     def curvature_ratio(self, x):
-        arr = _check_domain(x, positive=True)
-        return _as_input(x, (self.c - 2.0 * arr) / arr**2)
+        return (self.c - 2.0 * x) / (x * x)
 
 
 EfficiencyModel = PacketSuccess | InfoTheoretic
@@ -172,7 +205,8 @@ def solve_gamma_tilde(model: EfficiencyModel, k: int, n: int, check: bool = True
     """Cooperative operating SINR: root of x (1 - (k-1)x/n) f'(x) = f(x).
 
     For k = 1 there is no interference term and this is solve_beta_star.
-    When `check` is set the single-crossing condition is scanned first and a
+    When `check` is set, ``check_op_condition`` first decides the
+    single-crossing condition by its per-family sign argument, and a
     UniquenessRiskWarning is emitted if it fails (the root is still returned).
     """
     if k <= 1:
@@ -213,36 +247,42 @@ def solve_gamma_star(model: EfficiencyModel, k: int, n: int, beta_star: float) -
     return _solve_sinr_equation(model, leader_coefficient(k, n, beta_star))
 
 
-def check_op_condition(
-    model: EfficiencyModel, k: int, n: int, points: int = 100_000
-) -> tuple[bool, float | None]:
-    """Scan the single-crossing condition guaranteeing a unique operating point.
+def check_op_condition(model: EfficiencyModel, k: int,
+                       n: int) -> tuple[bool, float | None]:
+    """Decide the single-crossing condition guaranteeing a unique operating point.
 
-    The condition: f''(x)/f'(x) - 2(k-1)/(n - (k-1)x) changes sign exactly
-    once, from + to -, on (0, n/(k-1)).  Uses a uniform sign scan with
-    `points` interior samples; vacuously true for k < 2.
-    Returns (ok, x0) with x0 the crossing location when ok.
+    The condition: h(x) = f''(x)/f'(x) - 2(k-1)/(n - (k-1)x) changes sign
+    exactly once, from + to -, on (0, n/(k-1)).  The subtracted term is
+    positive and strictly increasing there, with h -> -inf at the right end.
+    Each family settles the condition by a sign argument:
+
+    * PacketSuccess(m >= 2): f''/f' = (m e - 1)/(1 - e) with e = exp(-x) has
+      d/de = (m-1)/(1-e)**2 > 0, so it falls strictly in x from +inf; h falls
+      strictly from +inf to -inf and crosses exactly once.
+    * PacketSuccess(1): f''/f' = -1, so h < 0 throughout and never crosses.
+    * InfoTheoretic: f''/f' = (c - 2x)/x**2 falls strictly on (0, c] from
+      +inf and is negative past c/2, so h falls strictly from +inf until it
+      turns negative and stays negative: exactly one crossing.  h is not
+      monotone past c, which is why this takes the sign argument.
+
+    Vacuously true for k < 2.  Returns (ok, x0) with x0 the crossing,
+    bisected on h over (0, n/(k-1)), when ok.
     """
     if k < 2:
         return True, None
-    upper = n / (k - 1)
-    xs = np.linspace(0.0, upper, points + 2)[1:-1]
-    h = model.curvature_ratio(xs) - 2.0 * (k - 1) / (n - (k - 1) * xs)
-    signs = np.sign(h)
-    keep = signs != 0.0
-    signs, xs = signs[keep], xs[keep]
-    if signs.size < 2:
+    if isinstance(model, PacketSuccess):
+        ok = model.m >= 2
+    elif isinstance(model, InfoTheoretic):
+        ok = True
+    else:
+        raise TypeError(f"no single-crossing argument for {type(model).__name__}")
+    if not ok:
         return False, None
-    flips = np.nonzero(np.diff(signs))[0]
-    downward = flips[(signs[flips] > 0) & (signs[flips + 1] < 0)]
-    if flips.size != 1 or downward.size != 1:
-        return False, None
-    i = int(downward[0])
 
-    def h_scalar(x: float) -> float:
+    def h(x: float) -> float:
         return model.curvature_ratio(x) - 2.0 * (k - 1) / (n - (k - 1) * x)
 
-    return True, bisect(h_scalar, float(xs[i]), float(xs[i + 1]))
+    return True, bisect(h, 0.0, n / (k - 1))
 
 
 def equal_action_utility(model: EfficiencyModel, x, k: int, n: int):

@@ -33,7 +33,7 @@ from ._version import VERSION
 from .channel import ChannelMode, ChannelProcess, draw_block
 from .efficiency import PacketSuccess, equal_action_utility, solve_all
 from .errors import NoFiniteT0Error, NoNashEquilibriumError, SaturatedRegimeError
-from .repeated import _t0_ratio, lambda_bound, t0_bound
+from .repeated import _t0_ratios, lambda_bound, t0_bound
 from .static_game import (
     ChannelState,
     NetworkConfig,
@@ -145,6 +145,9 @@ def fig1_region(region_path=None, points_path=None, out_dir=".",
                 gains2=(1.0, 1.0), rates=(1.0, 1.0), leader: int = 0,
                 hull_bins: int = 24) -> Fig1Result:
     """Two-player utility region with equilibrium/cooperation points marked."""
+    if points_per_axis < 2 or hull_bins < 2:
+        raise ValueError("fig1 needs points_per_axis >= 2 and hull_bins >= 2, got "
+                         f"{points_per_axis} and {hull_bins}")
     k = 2
     model = PacketSuccess(m)
     sinrs = solve_all(model, k, n)
@@ -582,10 +585,9 @@ def fig5_t0_sweep(csv_path=None, out_dir=".", k: int = 35, m: int = 10,
 
     def real_ratio(scale: float) -> float | None:
         cfg = _uniform_cfg(k, n, sigma2, 1.0, p_max, scale, ratio)
-        term = model.value(sinrs.beta_star) / sinrs.beta_star
         try:
-            return _t0_ratio(cfg, model, sinrs.beta_star, sinrs.gamma_tilde,
-                             0, term)
+            return _t0_ratios(cfg, model, sinrs.beta_star, sinrs.gamma_tilde,
+                              0)[0]
         except NoFiniteT0Error:
             return None
 

@@ -133,25 +133,39 @@ def delta_gain(model: EfficiencyModel, k: int, n: int,
     return max(d, 0.0)
 
 
-def _t0_ratio(cfg: NetworkConfig, model: EfficiencyModel, beta_star: float,
-              gamma_tilde: float, i: int, deviation_term: float) -> float:
-    phi_ne = equal_action_utility(model, beta_star, cfg.k, cfg.n)
+def _t0_ratios(cfg: NetworkConfig, model: EfficiencyModel, beta_star: float,
+               gamma_tilde: float, player: int | None,
+               exact_deviation: bool = False) -> list[float]:
+    """Real-valued endgame-length ratio of each player, or of `player` alone.
+
+    The shared body of ``t0_bound`` and ``t0_bound_exact_deviation``: the
+    efficiency terms are evaluated once per call, the punishment
+    interference once per player.
+    """
+    k, n = cfg.k, cfg.n
     f_ne = model.value(beta_star)
-    punish_interference = (
-        sum(cfg.p_max[j] * cfg.eta_min[j] for j in range(cfg.k) if j != i)
-        + cfg.sigma2
-    )
-    numerator = cfg.eta_max[i] * deviation_term - cfg.eta_min[i] * equal_action_utility(
-        model, gamma_tilde, cfg.k, cfg.n)
-    denominator = cfg.eta_min[i] * phi_ne - cfg.eta_max[i] * f_ne / (
-        beta_star * punish_interference)
-    if denominator <= 0.0:
-        raise NoFiniteT0Error(
-            "full-power punishment too weak for player "
-            f"{i + 1}: eta_min*phi(beta_star) <= eta_max*f(beta_star)/"
-            f"(beta_star*(sum_j P_j_max*eta_j_min + sigma2)) = {-denominator + cfg.eta_min[i] * phi_ne}"
+    phi_ne = equal_action_utility(model, beta_star, k, n)
+    phi_op = equal_action_utility(model, gamma_tilde, k, n)
+    deviation_term = f_ne / beta_star
+    if exact_deviation:
+        deviation_term = deviation_term * (1.0 - (k - 1) * gamma_tilde / n)
+    ratios = []
+    for i in range(k) if player is None else (player,):
+        punish_interference = (
+            sum(cfg.p_max[j] * cfg.eta_min[j] for j in range(k) if j != i)
+            + cfg.sigma2
         )
-    return numerator / denominator
+        numerator = cfg.eta_max[i] * deviation_term - cfg.eta_min[i] * phi_op
+        denominator = cfg.eta_min[i] * phi_ne - cfg.eta_max[i] * f_ne / (
+            beta_star * punish_interference)
+        if denominator <= 0.0:
+            raise NoFiniteT0Error(
+                "full-power punishment too weak for player "
+                f"{i + 1}: eta_min*phi(beta_star) <= eta_max*f(beta_star)/"
+                f"(beta_star*(sum_j P_j_max*eta_j_min + sigma2)) = {-denominator + cfg.eta_min[i] * phi_ne}"
+            )
+        ratios.append(numerator / denominator)
+    return ratios
 
 
 def t0_bound(cfg: NetworkConfig, model: EfficiencyModel, beta_star: float,
@@ -167,14 +181,8 @@ def t0_bound(cfg: NetworkConfig, model: EfficiencyModel, beta_star: float,
     """
     if cfg.k < 2:
         return 1  # nobody to deviate against
-    deviation_term = model.value(beta_star) / beta_star
-    if player is not None:
-        return max(1, ceil(_t0_ratio(cfg, model, beta_star, gamma_tilde, player,
-                                     deviation_term)))
-    return max(
-        max(1, ceil(_t0_ratio(cfg, model, beta_star, gamma_tilde, i, deviation_term)))
-        for i in range(cfg.k)
-    )
+    ratios = _t0_ratios(cfg, model, beta_star, gamma_tilde, player)
+    return max(1, *map(ceil, ratios))
 
 
 def t0_bound_exact_deviation(cfg: NetworkConfig, model: EfficiencyModel,
@@ -188,15 +196,9 @@ def t0_bound_exact_deviation(cfg: NetworkConfig, model: EfficiencyModel,
     """
     if cfg.k < 2:
         return 1
-    deviation_term = (model.value(beta_star) / beta_star
-                      * (1.0 - (cfg.k - 1) * gamma_tilde / cfg.n))
-    if player is not None:
-        return max(1, ceil(_t0_ratio(cfg, model, beta_star, gamma_tilde, player,
-                                     deviation_term)))
-    return max(
-        max(1, ceil(_t0_ratio(cfg, model, beta_star, gamma_tilde, i, deviation_term)))
-        for i in range(cfg.k)
-    )
+    ratios = _t0_ratios(cfg, model, beta_star, gamma_tilde, player,
+                        exact_deviation=True)
+    return max(1, *map(ceil, ratios))
 
 
 def lambda_bound(cfg: NetworkConfig, model: EfficiencyModel, beta_star: float,

@@ -131,6 +131,32 @@ def test_vanishing_channel_mass_exits_6(tmp_path):
     assert code == 6
 
 
+def test_out_of_bounds_gains_exit_6(tmp_path):
+    # with gain 0.001 below eta_min = 1, player 1 would be told to send 76 W
+    # against a 0.1 W cap
+    doc = {"model": {"family": "pkt", "m": 2},
+           "network": {"k": 2, "n": 16, "sigma2": 1.0, "rates": 1.0,
+                       "p_max": 0.1, "eta_min": 1.0, "eta_max": 2.0},
+           "plan": {"type": "frg", "t_total": 5, "t0": 2}}
+    argv = ["simulate", "--out", str(tmp_path / "trace.csv"), "--scenario"]
+    code, _ = _run(argv + [_scenario(tmp_path, doc=doc, gains2=[0.001, 1.0])])
+    assert code == 6
+    code, _ = _run(["equilibria", "--scenario",
+                    _scenario(tmp_path, doc=doc, gains2=[1.0, 2.5])])
+    assert code == 6
+    code, _ = _run(argv + [_scenario(tmp_path, doc=doc, gains2=[1.0, 2.0])])
+    assert code == 0  # the bounds themselves are allowed
+
+
+def test_degenerate_fig1_grid_exits_1(tmp_path, capsys):
+    for option in ("hull_bins=1", "points_per_axis=1"):
+        code, _ = _run(["experiment", "fig1", "--out-dir", str(tmp_path),
+                        "--set", option])
+        assert code == 1
+        assert ">= 2" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []  # rejected before anything is written
+
+
 def test_unknown_experiment_option_exits_1(tmp_path):
     code, _ = _run(["experiment", "fig2", "--out", str(tmp_path / "x.csv"),
                     "--set", "nonsense=1"])

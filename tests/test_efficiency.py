@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powergame.efficiency import (
     CharacteristicSinrs,
@@ -19,6 +21,7 @@ from powergame.efficiency import (
     solve_gamma_tilde,
 )
 from powergame.errors import NoNashEquilibriumError
+from powergame.roots import bisect
 
 # independent oracle: beta_star of PacketSuccess(m) is the root of e^x = m*x + 1
 BETA_STAR_PKT = {
@@ -206,8 +209,76 @@ def test_single_crossing_scan_vacuous_below_two_players():
     assert check_op_condition(PacketSuccess(2), 1, 4) == (True, None)
 
 
+def _scan_op_condition(model, k: int, n: int, points: int = 100_000):
+    """Uniform sign scan of h = f''/f' - 2(k-1)/(n-(k-1)x) on (0, n/(k-1)).
+
+    The numeric check the library ran on every solve before the per-family
+    sign argument replaced it; kept here as the oracle for that argument.
+    """
+    if k < 2:
+        return True, None
+    upper = n / (k - 1)
+    xs = np.linspace(0.0, upper, points + 2)[1:-1]
+    h = model.curvature_ratio(xs) - 2.0 * (k - 1) / (n - (k - 1) * xs)
+    signs = np.sign(h)
+    keep = signs != 0.0
+    signs, xs = signs[keep], xs[keep]
+    if signs.size < 2:
+        return False, None
+    flips = np.nonzero(np.diff(signs))[0]
+    downward = flips[(signs[flips] > 0) & (signs[flips + 1] < 0)]
+    if flips.size != 1 or downward.size != 1:
+        return False, None
+    i = int(downward[0])
+
+    def h_scalar(x: float) -> float:
+        return model.curvature_ratio(x) - 2.0 * (k - 1) / (n - (k - 1) * x)
+
+    return True, bisect(h_scalar, float(xs[i]), float(xs[i + 1]))
+
+
+MODELS = st.one_of(
+    st.integers(1, 100).map(PacketSuccess),
+    st.floats(-1.0, 1.0).map(lambda e: InfoTheoretic.from_c(10.0 ** e)),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(model=MODELS, k=st.integers(1, 12), n=st.integers(1, 64))
+def test_single_crossing_argument_matches_the_scan(model, k, n):
+    ok, x0 = check_op_condition(model, k, n)
+    ok_scan, x0_scan = _scan_op_condition(model, k, n)
+    assert ok == ok_scan
+    if x0_scan is None:
+        assert x0 is None
+    else:
+        assert abs(x0 - x0_scan) <= n / (k - 1) / 100_001  # the scan's grid step
+
+
+def test_scalar_ratio_path_is_bitwise_the_array_path():
+    xs = 10.0 ** np.random.default_rng(5).uniform(-6.0, 3.0, size=20_000)
+    # 1e-170 and 5e-324: exp(-x) rounds to 1 and x * x underflows to 0
+    xs = np.concatenate([xs, [1e-170, 5e-324]])
+    for model in (PacketSuccess(2), PacketSuccess(100), InfoTheoretic(1.3)):
+        for method in (model.dlog, model.curvature_ratio):
+            with np.errstate(divide="ignore"):
+                scalar = np.array([method(float(x)) for x in xs])
+                assert scalar.tobytes() == method(xs).tobytes()
+            for x in xs[:200]:  # 0-d arrays still take the array path
+                assert method(float(x)) == method(np.asarray(x))
+    assert isinstance(PacketSuccess(3).dlog(1.0), float)
+
+
+def test_scalar_ratio_path_rejects_nonpositive_sinr():
+    for model in (PacketSuccess(2), InfoTheoretic(1.0)):
+        for method in (model.dlog, model.curvature_ratio):
+            for x in (0.0, -0.0, -1.0, np.float64(-0.5)):
+                with pytest.raises(ValueError):
+                    method(x)
+
+
 def test_uniqueness_warning_when_condition_fails():
-    # m = 1 keeps the curvature ratio at -1, so the scan never finds a crossing
+    # m = 1 keeps the curvature ratio at -1, so h never crosses zero
     with pytest.warns(UniquenessRiskWarning):
         solve_gamma_tilde(PacketSuccess(1), 2, 2)
 
