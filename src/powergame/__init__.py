@@ -60,12 +60,11 @@ from .repeated import (
     Phase,
     RgBounds,
     StageRecord,
-    StrategyMachine,
+    TriggerStrategy,
     averaged_utility_drg,
     averaged_utility_frg,
     best_deviation,
     delta_gain,
-    detect_deviation,
     deviation_upper_bound,
     drg_truncation_horizon,
     history_at,
@@ -93,7 +92,6 @@ from .static_game import (
     region_to_csv,
     sample_utility_region,
     se_profiles,
-    sinr,
     sinr_all,
     social_welfare,
     utility,

@@ -274,10 +274,10 @@ def cmd_simulate(args) -> int:
     if dev_fields is not None:
         scenario = _build_deviation(dict(dev_fields))
 
-    machines = make_machines(cfg, model, plan, sinrs.beta_star,
+    strategy = make_machines(cfg, model, plan, sinrs.beta_star,
                              sinrs.gamma_tilde)
     channels = _gains(doc, cfg, _resolve_seed(args), stages)
-    trace = run_game(model, cfg, channels, machines, scenario,
+    trace = run_game(model, cfg, channels, strategy, scenario,
                      beta_star=sinrs.beta_star)
     out = args.out or experiments._default_path(".", "trace")
     trace_to_csv(out, trace)

@@ -37,6 +37,7 @@ from .repeated import _t0_ratios, lambda_bound, t0_bound
 from .static_game import (
     ChannelState,
     NetworkConfig,
+    _leader_margin,
     ne_action,
     ne_profile,
     op_action,
@@ -361,9 +362,9 @@ def _fig4_point(args):
         return ("skip", m, k, "load exceeds the one-shot equilibrium limit")
     c_ne = equal_action_utility(model, beta, k, n)
     c_op = equal_action_utility(model, tilde, k, n)
-    bn, gn = beta / n, gamma / n
-    d = 1.0 - (k - 2) * bn - (k - 1) * gn * bn
-    if d <= 0.0:
+    try:
+        bn, gn, d = _leader_margin(k, n, beta, gamma)
+    except NoNashEquilibriumError:
         return ("skip", m, k, "leader-follower equilibrium does not exist")
     c_lead = d * model.value(gamma) / (gamma * (1.0 + bn))
     c_follow = d * model.value(beta) / (beta * (1.0 + gn))

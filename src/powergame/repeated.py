@@ -18,7 +18,7 @@ for the tighter diagnostic that uses the true best deviation instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from math import ceil, log
 
@@ -26,7 +26,7 @@ import numpy as np
 
 from .efficiency import EfficiencyModel, equal_action_utility
 from .errors import NoFiniteT0Error, PowerGameError, SaturatedRegimeError
-from .static_game import ChannelState, NetworkConfig, ne_action, op_action
+from .static_game import ChannelState, NetworkConfig, _stage_payoffs, ne_action, op_action
 
 
 @dataclass(frozen=True)
@@ -234,65 +234,51 @@ def drg_truncation_horizon(lam: float, tail: float = 1e-12) -> int:
     return int(ceil(log(tail) / log(1.0 - lam)))
 
 
-class StrategyMachine:
-    """Public-signal trigger strategy for one player.
+@dataclass(frozen=True)
+class TriggerStrategy:
+    """Public-signal trigger strategy, one immutable object shared by all players.
 
-    The machine is a pure function of the public history: every player's
-    machine sees the same omegas, so their phases stay synchronised and the
-    deviating player punishes itself alongside everyone else.  Detection
-    compares omega to its cooperative value in relative terms and is active
-    only while cooperating (the endgame is self-enforcing).
+    Player i plays its phase's received action over its own gain, so it needs
+    only |g_i|^2 and the public signal.  Everyone sees the same omegas, so one
+    phase serves all players and the deviator punishes itself too.  Detection
+    is relative and active only while cooperating (the endgame is
+    self-enforcing).  The punishment onset belongs to a run, not the strategy.
     """
 
-    def __init__(self, player: int, plan: Plan, coop_action: float,
-                 ne_action: float, p_max: float, expected_omega: float,
-                 detection_tol: float = 1e-9):
-        self.player = player
-        self.plan = plan
-        self.coop_action = coop_action
-        self.ne_action = ne_action
-        self.p_max = p_max
-        self.expected_omega = expected_omega
-        self.detection_tol = detection_tol
-        self._punish_from: int | None = None
+    plan: Plan
+    coop_action: float
+    ne_action: float
+    caps: tuple[float, ...]
+    expected_omega: float
+    detection_tol: float = 1e-9
+    _caps: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def phase_at(self, t: int) -> Phase:
-        if self._punish_from is not None and t >= self._punish_from:
+    def __post_init__(self):
+        object.__setattr__(self, "_caps", np.asarray(self.caps, dtype=float))
+
+    def phase_at(self, t: int, punish_from: int | None = None) -> Phase:
+        if punish_from is not None and t >= punish_from:
             return Phase.PUNISH
         if isinstance(self.plan, FrgPlan) and t > self.plan.t_total - self.plan.t0:
             return Phase.ENDGAME
         return Phase.COOPERATE
 
-    def act(self, t: int, own_gain2: float) -> float:
-        if isinstance(self.plan, FrgPlan) and t > self.plan.t_total:
-            raise ValueError(f"stage {t} beyond the {self.plan.t_total}-stage horizon")
-        phase = self.phase_at(t)
-        if phase is Phase.PUNISH:
-            if isinstance(self.plan, FrgPlan):
-                return self.p_max
-            return self.ne_action / own_gain2
-        if phase is Phase.ENDGAME:
-            return self.ne_action / own_gain2
-        return self.coop_action / own_gain2
+    def powers(self, phase: Phase, gains2: np.ndarray) -> np.ndarray:
+        """Every player's prescribed power in this phase, given its own gain."""
+        if phase is Phase.PUNISH and isinstance(self.plan, FrgPlan):
+            return self._caps.copy()
+        action = self.coop_action if phase is Phase.COOPERATE else self.ne_action
+        return action / gains2
 
-    def observe(self, t: int, omega: float) -> bool:
-        """Digest the stage-t public signal; True when a deviation is detected."""
-        if self.phase_at(t) is not Phase.COOPERATE:
-            return False
-        if abs(omega - self.expected_omega) > self.detection_tol * self.expected_omega:
-            self._punish_from = t + 1
-            return True
-        return False
-
-
-def detect_deviation(machine: StrategyMachine, t: int, omega: float) -> bool:
-    return machine.observe(t, omega)
+    def deviation_seen(self, omega: float) -> bool:
+        """True when omega leaves its cooperative value by more than the tolerance."""
+        return abs(omega - self.expected_omega) > self.detection_tol * self.expected_omega
 
 
 def make_machines(cfg: NetworkConfig, model: EfficiencyModel, plan: Plan,
                   beta_star: float, gamma_tilde: float,
-                  detection_tol: float = 1e-9) -> list[StrategyMachine]:
-    """Build one synchronised machine per player.
+                  detection_tol: float = 1e-9) -> TriggerStrategy:
+    """Build the trigger strategy that every player shares.
 
     The cooperative public-signal value is computed from the profile itself
     (sigma2 plus the sum of cooperative actions), not from any closed form.
@@ -308,11 +294,8 @@ def make_machines(cfg: NetworkConfig, model: EfficiencyModel, plan: Plan,
             raise SaturatedRegimeError(
                 f"plan needs up to {need} W from player {i + 1}, cap {cfg.p_max[i]} W"
             )
-    return [
-        StrategyMachine(i, plan, a_op, a_ne, cfg.p_max[i], expected_omega,
-                        detection_tol)
-        for i in range(cfg.k)
-    ]
+    return TriggerStrategy(plan, a_op, a_ne, cfg.p_max, expected_omega,
+                           detection_tol)
 
 
 def deviation_upper_bound(model: EfficiencyModel, cfg: NetworkConfig,
@@ -405,48 +388,54 @@ def _resolve_override(scenario: DeviationScenario, t: int, powers: np.ndarray,
 
 
 def run_game(model: EfficiencyModel, cfg: NetworkConfig,
-             channels: list[ChannelState], machines: list[StrategyMachine],
+             channels: list[ChannelState], strategy: TriggerStrategy,
              scenario: DeviationScenario | None = None,
              beta_star: float | None = None) -> list[StageRecord]:
-    """Step the stage game under the machines' plans, one record per stage.
+    """Step the stage game under the shared strategy, one record per stage.
 
-    Machines see only their own current gain when acting and only the public
-    signal when updating, so the trace respects the game's information
-    structure by construction.
+    A player's power depends only on its own current gain and the phase, the
+    phase only on the public signal, so the trace respects the game's
+    information structure by construction.  Raises SaturatedRegimeError when
+    the strategy prescribes more than a cap (a gain below the bounds it was
+    built for).
     """
-    if len(machines) != cfg.k:
-        raise ValueError("one machine per player required")
-    plans = {(type(m.plan), m.plan) for m in machines}
-    if len(plans) != 1:
-        raise ValueError("machines must share a single plan")
+    plan = strategy.plan
+    if isinstance(plan, FrgPlan) and len(channels) > plan.t_total:
+        raise ValueError(
+            f"stage {plan.t_total + 1} beyond the {plan.t_total}-stage horizon")
     if scenario is not None:
         if not 0 <= scenario.player < cfg.k:
             raise ValueError(f"scenario player {scenario.player} out of range")
         if not 1 <= scenario.stage <= len(channels):
             raise ValueError(f"scenario stage {scenario.stage} outside the horizon")
 
-    rates = np.asarray(cfg.rates)
+    caps = strategy._caps
+    punish_from: int | None = None
     records: list[StageRecord] = []
     for t, state in enumerate(channels, start=1):
         g2 = np.asarray(state.gains2)
-        phases = tuple(m.phase_at(t).value for m in machines)
-        powers = np.array([m.act(t, g2[i]) for i, m in enumerate(machines)])
+        phase = strategy.phase_at(t, punish_from)
+        powers = strategy.powers(phase, g2)
+        over = powers > caps
+        if over.any():
+            i = int(np.argmax(over))
+            raise SaturatedRegimeError(
+                f"stage {t}: strategy prescribes {powers[i]} W to player "
+                f"{i + 1}, above its cap {caps[i]} W")
         if scenario is not None:
             forced = _resolve_override(scenario, t, powers, model, cfg, g2, beta_star)
             if forced is not None:
                 powers[scenario.player] = forced
-        a = powers * g2
-        interference = a.sum() - a + cfg.sigma2
-        sinrs = cfg.n * a / interference
-        eff = model.value(sinrs)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            utils = np.where(powers > 0.0, rates * eff / powers, 0.0)
-        omega = float(cfg.sigma2 + a.sum())
-        detected = [m.observe(t, omega) for m in machines]
+        sinrs, utils, omega = _stage_payoffs(model, cfg, g2, powers)
+        omega = float(omega)
+        detected = phase is Phase.COOPERATE and strategy.deviation_seen(omega)
+        if detected:
+            punish_from = t + 1
         records.append(StageRecord(
             t=t, gains2=tuple(map(float, g2)), powers=tuple(map(float, powers)),
             sinrs=tuple(map(float, sinrs)), utilities=tuple(map(float, utils)),
-            omega=omega, phases=phases, deviation_detected=any(detected)))
+            omega=omega, phases=(phase.value,) * cfg.k,
+            deviation_detected=detected))
     return records
 
 

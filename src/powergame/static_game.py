@@ -97,32 +97,39 @@ class UtilityProfile:
         object.__setattr__(self, "u", tuple(float(v) for v in self.u))
 
 
+def _stage_payoffs(model: EfficiencyModel | None, cfg: NetworkConfig, gains2,
+                   powers) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """SINRs, utilities and public signal of stage profiles shaped (..., k).
+
+    The one place the stage formula lives.  Utilities are zero at zero power
+    and None when no model is given; the public signal has the batch shape.
+    """
+    gains2 = np.asarray(gains2)
+    powers = np.asarray(powers)
+    a = powers * gains2
+    total = a.sum(axis=-1, keepdims=True)
+    sinrs = cfg.n * a / (total - a + cfg.sigma2)
+    utils = None
+    if model is not None:
+        eff = model.value(sinrs)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            utils = np.where(powers > 0.0, np.asarray(cfg.rates) * eff / powers, 0.0)
+    return sinrs, utils, cfg.sigma2 + total[..., 0]
+
+
 def sinr_all(cfg: NetworkConfig, ch: ChannelState, profile: PowerProfile) -> np.ndarray:
-    p = np.asarray(profile.p)
-    g2 = np.asarray(ch.gains2)
-    a = p * g2
-    interference = a.sum() - a + cfg.sigma2
-    return cfg.n * a / interference
-
-
-def sinr(cfg: NetworkConfig, ch: ChannelState, profile: PowerProfile, i: int) -> float:
-    return float(sinr_all(cfg, ch, profile)[i])
+    return _stage_payoffs(None, cfg, ch.gains2, profile.p)[0]
 
 
 def utility(model: EfficiencyModel, cfg: NetworkConfig, ch: ChannelState,
             profile: PowerProfile) -> UtilityProfile:
     """Per-player efficiency in bit/J; zero wherever the power is zero."""
-    p = np.asarray(profile.p)
-    x = sinr_all(cfg, ch, profile)
-    eff = model.value(x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = np.where(p > 0.0, np.asarray(cfg.rates) * eff / p, 0.0)
-    return UtilityProfile(tuple(u))
+    return UtilityProfile(tuple(_stage_payoffs(model, cfg, ch.gains2, profile.p)[1]))
 
 
 def public_signal(cfg: NetworkConfig, ch: ChannelState, profile: PowerProfile) -> float:
     """Total received energy sigma2 + sum_i p_i |g_i|^2, observable by all."""
-    return float(cfg.sigma2 + (np.asarray(profile.p) * np.asarray(ch.gains2)).sum())
+    return float(_stage_payoffs(None, cfg, ch.gains2, profile.p)[2])
 
 
 def reconstruct_public_signal(p_i: float, gain2_i: float, sinr_i: float, n: int) -> float:
@@ -186,6 +193,20 @@ def op_profile(cfg: NetworkConfig, ch: ChannelState, gamma_tilde: float) -> Powe
     return _actions_to_profile(cfg, ch, np.full(cfg.k, a), "operating-point")
 
 
+def _leader_margin(k: int, n: int, beta_star: float,
+                   gamma_star: float) -> tuple[float, float, float]:
+    """(b/n, g/n, d) of the leader-follower equilibrium, which needs d > 0."""
+    bn = beta_star / n
+    gn = gamma_star / n
+    d = 1.0 - (k - 2) * bn - (k - 1) * gn * bn
+    if d <= 0.0:
+        raise NoNashEquilibriumError(
+            "leader-follower equilibrium requires "
+            f"1 - (K-2)*b/N - (K-1)*g*b/N^2 > 0, got {d}"
+        )
+    return bn, gn, d
+
+
 def se_profiles(model: EfficiencyModel, cfg: NetworkConfig, ch: ChannelState,
                 beta_star: float, gamma_star: float, leader: int,
                 ) -> tuple[PowerProfile, UtilityProfile]:
@@ -201,14 +222,7 @@ def se_profiles(model: EfficiencyModel, cfg: NetworkConfig, ch: ChannelState,
     """
     if not 0 <= leader < cfg.k:
         raise ValueError(f"leader index {leader} out of range for k={cfg.k}")
-    bn = beta_star / cfg.n
-    gn = gamma_star / cfg.n
-    d = 1.0 - (cfg.k - 2) * bn - (cfg.k - 1) * gn * bn
-    if d <= 0.0:
-        raise NoNashEquilibriumError(
-            "leader-follower equilibrium requires "
-            f"1 - (K-2)*b/N - (K-1)*g*b/N^2 > 0, got {d}"
-        )
+    bn, gn, d = _leader_margin(cfg.k, cfg.n, beta_star, gamma_star)
     a_leader = cfg.sigma2 * gamma_star * (1.0 + bn) / (cfg.n * d)
     a_follow = cfg.sigma2 * beta_star * (1.0 + gn) / (cfg.n * d)
     actions = np.full(cfg.k, a_follow)
@@ -259,14 +273,7 @@ def sample_utility_region(model: EfficiencyModel, cfg: NetworkConfig, ch: Channe
     powers = np.stack([m.reshape(-1) for m in mesh], axis=1)
 
     g2 = np.asarray(ch.gains2)
-    rates = np.asarray(cfg.rates)
-    a = powers * g2
-    interference = a.sum(axis=1, keepdims=True) - a + cfg.sigma2
-    x = cfg.n * a / interference
-    eff = model.value(x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = np.where(powers > 0.0, rates * eff / powers, 0.0)
-    return powers, u / g2
+    return powers, _stage_payoffs(model, cfg, g2, powers)[1] / g2
 
 
 def region_to_csv(path, powers: np.ndarray, utils_norm: np.ndarray) -> None:

@@ -1,6 +1,7 @@
 """Experiment runners: CSV layout, frozen pins, determinism."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -190,27 +191,27 @@ def test_t0_sweep_reports_frozen_decades(tmp_path):
 def test_rng_free_experiments_are_byte_identical(tmp_path):
     a = fig2_dynamics_vs_t(csv_path=str(tmp_path / "a.csv"), t_grid=(2, 5))
     b = fig2_dynamics_vs_t(csv_path=str(tmp_path / "b.csv"), t_grid=(2, 5))
-    assert open(a.csv_path, "rb").read() == open(b.csv_path, "rb").read()
+    assert Path(a.csv_path).read_bytes() == Path(b.csv_path).read_bytes()
 
 
 def test_seeded_experiments_are_byte_identical(tmp_path):
     kw = dict(n=16, m_values=(10,), k_grids={10: [2, 3]}, replicas=100)
     a = fig4_welfare_vs_load(csv_path=str(tmp_path / "a.csv"), **kw)
     b = fig4_welfare_vs_load(csv_path=str(tmp_path / "b.csv"), **kw)
-    assert open(a.csv_path, "rb").read() == open(b.csv_path, "rb").read()
+    assert Path(a.csv_path).read_bytes() == Path(b.csv_path).read_bytes()
     c = fig4_welfare_vs_load(csv_path=str(tmp_path / "c.csv"), seed=99, **kw)
-    assert open(a.csv_path, "rb").read() != open(c.csv_path, "rb").read()
+    assert Path(a.csv_path).read_bytes() != Path(c.csv_path).read_bytes()
 
 
 def test_worker_count_does_not_change_the_output(tmp_path):
     kw = dict(replicas=30, t_multiples=(1, 2, 5))
     a = fig5_frg_ratio_vs_t(csv_path=str(tmp_path / "w1.csv"), workers=1, **kw)
     b = fig5_frg_ratio_vs_t(csv_path=str(tmp_path / "w3.csv"), workers=3, **kw)
-    assert open(a.csv_path, "rb").read() == open(b.csv_path, "rb").read()
+    assert Path(a.csv_path).read_bytes() == Path(b.csv_path).read_bytes()
 
 
 def test_fig4_worker_count_does_not_change_the_output(tmp_path):
     kw = dict(n=16, m_values=(10,), k_grids={10: [2, 3, 4]}, replicas=60)
     a = fig4_welfare_vs_load(csv_path=str(tmp_path / "w1.csv"), workers=1, **kw)
     b = fig4_welfare_vs_load(csv_path=str(tmp_path / "w2.csv"), workers=2, **kw)
-    assert open(a.csv_path, "rb").read() == open(b.csv_path, "rb").read()
+    assert Path(a.csv_path).read_bytes() == Path(b.csv_path).read_bytes()

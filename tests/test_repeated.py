@@ -1,10 +1,13 @@
-"""Repeated-game bounds, trigger machines, and the stage-game engine."""
+"""Repeated-game bounds, the trigger strategy, and the stage-game engine."""
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from powergame.channel import ChannelProcess, draw_block
 from powergame.efficiency import (
@@ -19,12 +22,11 @@ from powergame.repeated import (
     DrgPlan,
     FrgPlan,
     Phase,
-    StrategyMachine,
+    TriggerStrategy,
     averaged_utility_drg,
     averaged_utility_frg,
     best_deviation,
     delta_gain,
-    detect_deviation,
     deviation_upper_bound,
     drg_truncation_horizon,
     history_at,
@@ -40,10 +42,12 @@ from powergame.repeated import (
 from powergame.static_game import (
     ChannelState,
     NetworkConfig,
+    PowerProfile,
     ne_action,
     ne_profile,
     op_action,
     op_profile,
+    public_signal,
     sinr_all,
     utility,
 )
@@ -183,51 +187,80 @@ def test_truncation_horizon_brackets_the_tail():
         drg_truncation_horizon(0.0)
 
 
-def test_machine_phase_schedule_and_actions():
-    plan = FrgPlan(t_total=10, t0=3)
-    mach = StrategyMachine(player=0, plan=plan, coop_action=0.5, ne_action=1.0,
-                           p_max=10.0, expected_omega=2.0)
-    assert [mach.phase_at(t) for t in range(1, 8)] == [Phase.COOPERATE] * 7
-    assert [mach.phase_at(t) for t in (8, 9, 10)] == [Phase.ENDGAME] * 3
-    assert mach.act(3, own_gain2=2.0) == 0.25   # coop action over own gain
-    assert mach.act(9, own_gain2=2.0) == 0.5    # one-shot action over own gain
-    with pytest.raises(ValueError):
-        mach.act(11, own_gain2=1.0)
+def _strategy(plan, caps=(10.0,), tol=1e-9):
+    return TriggerStrategy(plan, coop_action=0.5, ne_action=1.0, caps=caps,
+                           expected_omega=2.0, detection_tol=tol)
+
+
+def test_strategy_phase_schedule_and_actions():
+    strategy = _strategy(FrgPlan(t_total=10, t0=3))
+    assert [strategy.phase_at(t) for t in range(1, 8)] == [Phase.COOPERATE] * 7
+    assert [strategy.phase_at(t) for t in (8, 9, 10)] == [Phase.ENDGAME] * 3
+    # each player's action over its own gain: cooperative, then one-shot
+    gains2 = np.array([2.0, 0.5])
+    assert strategy.powers(Phase.COOPERATE, gains2).tolist() == [0.25, 1.0]
+    assert strategy.powers(Phase.ENDGAME, gains2).tolist() == [0.5, 2.0]
+
+
+def test_run_game_rejects_stages_beyond_the_horizon():
+    model, cfg, sinrs, plan, strategy, channels = _conforming_setup()
+    with pytest.raises(ValueError, match="beyond the 8-stage horizon"):
+        run_game(model, cfg, channels + channels[:1], strategy)
 
 
 def test_degenerate_plan_is_all_endgame():
-    mach = StrategyMachine(player=0, plan=FrgPlan(t_total=4, t0=9),
-                           coop_action=0.5, ne_action=1.0, p_max=10.0,
-                           expected_omega=2.0)
-    assert all(mach.phase_at(t) is Phase.ENDGAME for t in range(1, 5))
+    strategy = _strategy(FrgPlan(t_total=4, t0=9))
+    assert all(strategy.phase_at(t) is Phase.ENDGAME for t in range(1, 5))
 
 
 def test_detection_is_relative_absorbing_and_cooperation_only():
-    plan = FrgPlan(t_total=10, t0=2)
-    mach = StrategyMachine(player=0, plan=plan, coop_action=0.5, ne_action=1.0,
-                           p_max=10.0, expected_omega=2.0, detection_tol=1e-9)
-    assert not mach.observe(1, 2.0)
-    assert not mach.observe(2, 2.0 * (1 + 1e-12))  # inside the tolerance band
-    assert detect_deviation(mach, 3, 2.2)
-    assert mach.phase_at(4) is Phase.PUNISH
-    assert mach.act(4, own_gain2=1.0) == 10.0  # finite-horizon punishment: full power
-    assert not mach.observe(5, 2.0)  # back-to-normal signal cannot un-trigger
-    assert mach.phase_at(9) is Phase.PUNISH
+    strategy = _strategy(FrgPlan(t_total=10, t0=2), tol=1e-9)
+    assert not strategy.deviation_seen(2.0)
+    assert not strategy.deviation_seen(2.0 * (1 + 1e-12))  # inside the band
+    assert strategy.deviation_seen(2.2)
+    big = TriggerStrategy(FrgPlan(10, 2), 0.5, 1.0, (10.0,), expected_omega=2e6)
+    assert not big.deviation_seen(2e6 + 1e-4)  # 5e-11 relative
+    assert strategy.phase_at(3, punish_from=4) is Phase.COOPERATE
+    assert strategy.phase_at(4, punish_from=4) is Phase.PUNISH
+    assert strategy.phase_at(9, punish_from=4) is Phase.PUNISH  # endgame too
+    # finite-horizon punishment: full power whatever the gain
+    assert strategy.powers(Phase.PUNISH, np.array([1.0])).tolist() == [10.0]
+
+    model, cfg, sinrs, plan, strategy, channels = _conforming_setup()
+    trace = run_game(model, cfg, channels, strategy,
+                     DeviationScenario(player=0, stage=2, power="max"))
+    assert [r.deviation_detected for r in trace] == [False, True] + [False] * 6
+    expected = cfg.sigma2 + cfg.k * op_action(cfg, sinrs.gamma_tilde)
+    for rec in trace[2:]:
+        # full-power play keeps omega far off its cooperative value, but a
+        # punished stage is never flagged and never returns to cooperation
+        assert abs(rec.omega - expected) > 1e-3 * expected
+        assert rec.phases == ("punish", "punish")
 
 
 def test_endgame_deviations_are_not_punished():
-    mach = StrategyMachine(player=0, plan=FrgPlan(t_total=5, t0=2),
-                           coop_action=0.5, ne_action=1.0, p_max=10.0,
-                           expected_omega=2.0)
-    assert not mach.observe(4, 99.0)  # stage 4 is endgame
-    assert mach.phase_at(5) is Phase.ENDGAME
+    model, cfg, sinrs, plan, strategy, channels = _conforming_setup(t_total=5,
+                                                                     t0=2)
+    trace = run_game(model, cfg, channels, strategy,
+                     DeviationScenario(player=0, stage=4, power="max"))
+    assert not any(rec.deviation_detected for rec in trace)  # stage 4 is endgame
+    assert trace[4].phases == ("endgame", "endgame")
+    a_ne = ne_action(cfg, sinrs.beta_star)
+    np.testing.assert_allclose(np.asarray(trace[4].powers) * channels[4].gains2,
+                               a_ne, rtol=1e-12)
 
 
 def test_discounted_punishment_reverts_to_one_shot_play():
-    mach = StrategyMachine(player=1, plan=DrgPlan(0.2), coop_action=0.5,
-                           ne_action=1.0, p_max=10.0, expected_omega=2.0)
-    assert mach.observe(3, 3.0)
-    assert mach.act(4, own_gain2=4.0) == 0.25  # ne action over own gain
+    strategy = _strategy(DrgPlan(0.2), caps=(10.0, 10.0))
+    assert strategy.deviation_seen(3.0)
+    # one-shot action over own gain
+    assert strategy.powers(Phase.PUNISH, np.array([1.0, 4.0])).tolist() == [1.0, 0.25]
+
+
+def test_strategy_is_immutable():
+    strategy = _strategy(FrgPlan(t_total=10, t0=3))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        strategy.plan = FrgPlan(t_total=10, t0=1)
 
 
 def test_make_machines_rejects_saturated_plans():
@@ -243,14 +276,14 @@ def test_make_machines_rejects_saturated_plans():
 def _conforming_setup(t_total=8, t0=3, gains=(1.0, 0.8)):
     model, cfg, sinrs = _equal_bounds_scenario()
     plan = FrgPlan(t_total=t_total, t0=t0)
-    machines = make_machines(cfg, model, plan, sinrs.beta_star, sinrs.gamma_tilde)
+    strategy = make_machines(cfg, model, plan, sinrs.beta_star, sinrs.gamma_tilde)
     channels = [ChannelState(gains)] * t_total
-    return model, cfg, sinrs, plan, machines, channels
+    return model, cfg, sinrs, plan, strategy, channels
 
 
 def test_conforming_trace_plays_cooperation_then_endgame():
-    model, cfg, sinrs, plan, machines, channels = _conforming_setup()
-    trace = run_game(model, cfg, channels, machines)
+    model, cfg, sinrs, plan, strategy, channels = _conforming_setup()
+    trace = run_game(model, cfg, channels, strategy)
     a_op = op_action(cfg, sinrs.gamma_tilde)
     a_ne = ne_action(cfg, sinrs.beta_star)
     for rec in trace:
@@ -272,9 +305,9 @@ def test_conforming_trace_plays_cooperation_then_endgame():
 
 
 def test_scripted_deviation_triggers_full_power_punishment():
-    model, cfg, sinrs, plan, machines, channels = _conforming_setup()
+    model, cfg, sinrs, plan, strategy, channels = _conforming_setup()
     scen = DeviationScenario(player=0, stage=2, power="max")
-    trace = run_game(model, cfg, channels, machines, scen)
+    trace = run_game(model, cfg, channels, strategy, scen)
     assert not trace[0].deviation_detected
     assert trace[1].deviation_detected
     assert trace[1].powers[0] == cfg.p_max[0]
@@ -286,10 +319,10 @@ def test_scripted_deviation_triggers_full_power_punishment():
 def test_discounted_deviation_reverts_everyone_to_one_shot():
     model, cfg, sinrs = _equal_bounds_scenario()
     plan = DrgPlan(0.3)
-    machines = make_machines(cfg, model, plan, sinrs.beta_star, sinrs.gamma_tilde)
+    strategy = make_machines(cfg, model, plan, sinrs.beta_star, sinrs.gamma_tilde)
     channels = [ChannelState((1.0, 1.0))] * 12
     scen = DeviationScenario(player=1, stage=4, power=5.0)
-    trace = run_game(model, cfg, channels, machines, scen)
+    trace = run_game(model, cfg, channels, strategy, scen)
     a_ne = ne_action(cfg, sinrs.beta_star)
     for rec in trace[4:]:
         assert rec.phases == ("punish", "punish")
@@ -297,34 +330,49 @@ def test_discounted_deviation_reverts_everyone_to_one_shot():
 
 
 def test_deviation_matching_the_cooperative_power_stays_invisible():
-    # the public signal is all the machines see; a no-op override is undetectable
-    model, cfg, sinrs, plan, machines, channels = _conforming_setup()
+    # the public signal is all the strategy sees; a no-op override is undetectable
+    model, cfg, sinrs, plan, strategy, channels = _conforming_setup()
     coop_power = op_action(cfg, sinrs.gamma_tilde) / channels[0].gains2[0]
     scen = DeviationScenario(player=0, stage=2, power=coop_power)
-    trace = run_game(model, cfg, channels, machines, scen)
+    trace = run_game(model, cfg, channels, strategy, scen)
     assert not any(rec.deviation_detected for rec in trace)
 
 
 def test_run_game_validations():
-    model, cfg, sinrs, plan, machines, channels = _conforming_setup()
-    with pytest.raises(ValueError, match="one machine per player"):
-        run_game(model, cfg, channels, machines[:1])
-    with pytest.raises(ValueError, match="share a single plan"):
-        other = make_machines(cfg, model, FrgPlan(8, 1), sinrs.beta_star,
-                              sinrs.gamma_tilde)
-        run_game(model, cfg, channels, [machines[0], other[1]])
+    model, cfg, sinrs, plan, strategy, channels = _conforming_setup()
     with pytest.raises(ValueError, match="out of range"):
-        run_game(model, cfg, channels, machines,
+        run_game(model, cfg, channels, strategy,
                  DeviationScenario(player=5, stage=1, power="max"))
     with pytest.raises(ValueError, match="outside the horizon"):
-        run_game(model, cfg, channels, machines,
+        run_game(model, cfg, channels, strategy,
                  DeviationScenario(player=0, stage=99, power="max"))
     with pytest.raises(ValueError, match="outside"):
-        run_game(model, cfg, channels, machines,
+        run_game(model, cfg, channels, strategy,
                  DeviationScenario(player=0, stage=1, power=99.0))
     with pytest.raises(ValueError, match="beta_star"):
-        run_game(model, cfg, channels, machines,
+        run_game(model, cfg, channels, strategy,
                  DeviationScenario(player=0, stage=1, power="best_response"))
+
+
+def test_reused_strategy_forgets_the_last_punishment():
+    model, cfg, sinrs, plan, strategy, channels = _conforming_setup()
+    run_game(model, cfg, channels, strategy,
+             DeviationScenario(player=0, stage=2, power="max"))
+    reused = run_game(model, cfg, channels, strategy)
+    fresh = run_game(model, cfg, channels,
+                     make_machines(cfg, model, plan, sinrs.beta_star,
+                                   sinrs.gamma_tilde))
+    assert reused == fresh
+    assert not any(rec.deviation_detected for rec in reused)
+    assert reused[2].phases == ("cooperate", "cooperate")
+
+
+def test_run_game_refuses_powers_above_the_cap():
+    # the strategy is built for unit gains; a 0.01 gain needs 50 W of a 10 W cap
+    model, cfg, sinrs, plan, strategy, _ = _conforming_setup()
+    channels = [ChannelState((0.01, 1.0))] * plan.t_total
+    with pytest.raises(SaturatedRegimeError, match="player 1"):
+        run_game(model, cfg, channels, strategy)
 
 
 def test_best_deviation_matches_a_fine_grid_search():
@@ -337,8 +385,6 @@ def test_best_deviation_matches_a_fine_grid_search():
         # deviating lands exactly on the selfish SINR
         p = np.asarray(others.p).copy()
         p[i] = bd.power
-        from powergame.static_game import PowerProfile
-
         x = sinr_all(cfg, ch, PowerProfile(tuple(p)))
         np.testing.assert_allclose(x[i], sinrs.beta_star, rtol=1e-12)
         # no grid point beats it
@@ -374,9 +420,9 @@ def test_minmax_is_the_best_response_to_full_power():
 
 
 def test_averaged_utilities():
-    model, cfg, sinrs, plan, machines, channels = _conforming_setup(t_total=2,
+    model, cfg, sinrs, plan, strategy, channels = _conforming_setup(t_total=2,
                                                                     t0=1)
-    trace = run_game(model, cfg, channels, machines)
+    trace = run_game(model, cfg, channels, strategy)
     np.testing.assert_allclose(
         averaged_utility_frg(trace, 0),
         0.5 * (trace[0].utilities[0] + trace[1].utilities[0]), rtol=1e-15)
@@ -397,26 +443,26 @@ def test_averaged_utilities():
 def test_discounted_average_of_a_constant_is_the_constant():
     model, cfg, sinrs = _equal_bounds_scenario()
     plan = DrgPlan(0.5)
-    machines = make_machines(cfg, model, plan, sinrs.beta_star, sinrs.gamma_tilde)
+    strategy = make_machines(cfg, model, plan, sinrs.beta_star, sinrs.gamma_tilde)
     stages = 60
-    trace = run_game(model, cfg, [ChannelState((1.0, 1.0))] * stages, machines)
+    trace = run_game(model, cfg, [ChannelState((1.0, 1.0))] * stages, strategy)
     u0 = trace[0].utilities[0]
     avg = averaged_utility_drg(trace, 0, plan.lam)
     np.testing.assert_allclose(avg.value + avg.tail_bound, u0, rtol=1e-15)
 
 
 def test_history_exposes_only_public_quantities():
-    model, cfg, sinrs, plan, machines, channels = _conforming_setup()
-    trace = run_game(model, cfg, channels, machines)
+    model, cfg, sinrs, plan, strategy, channels = _conforming_setup()
+    trace = run_game(model, cfg, channels, strategy)
     hist = history_at(trace, player=1, upto=5)
     assert hist.omegas == tuple(r.omega for r in trace[:5])
     assert hist.own_powers == tuple(r.powers[1] for r in trace[:5])
 
 
 def test_trace_csv_layout(tmp_path):
-    model, cfg, sinrs, plan, machines, channels = _conforming_setup(t_total=3,
+    model, cfg, sinrs, plan, strategy, channels = _conforming_setup(t_total=3,
                                                                     t0=1)
-    trace = run_game(model, cfg, channels, machines)
+    trace = run_game(model, cfg, channels, strategy)
     path = tmp_path / "trace.csv"
     trace_to_csv(path, trace)
     with open(path, newline="") as fh:
@@ -463,3 +509,49 @@ def test_engine_totals_match_the_closed_form_stage_welfare():
     ratio_formula = ((rate_coop * w[window] + rate_ne * (w[-1] - w[window]))
                      / (rate_ne * w[-1]))
     np.testing.assert_allclose(ratio_engine, ratio_formula, rtol=1e-11)
+
+
+def _enforceable_game(rng):
+    """A random network with a finite t0_bound of at most 50 and lambda_max > 0."""
+    k = int(rng.integers(2, 5))
+    model = PacketSuccess(int(rng.integers(2, 12)))
+    beta = solve_all(model, 1, 1).beta_star
+    n = int(math.ceil((k - 1) * beta / rng.uniform(0.2, 0.8)))
+    sinrs = solve_all(model, k, n)
+    eta_min = tuple(10.0 ** rng.uniform(-1.0, 0.5, k))
+    eta_max = tuple(lo * rng.uniform(1.0, 1.3) for lo in eta_min)
+    sigma2 = float(10.0 ** rng.uniform(-3, 0))
+    # the smallest caps make_machines accepts, scaled up by 2 to 10^4
+    need = sigma2 * sinrs.beta_star / (n - (k - 1) * sinrs.beta_star)
+    p_max = tuple(need / lo * 10.0 ** rng.uniform(0.3, 4.0) for lo in eta_min)
+    cfg = NetworkConfig(k=k, n=n, sigma2=sigma2, rates=tuple(rng.uniform(0.5, 2.0, k)),
+                        p_max=p_max, eta_min=eta_min, eta_max=eta_max)
+    bounds = rg_bounds(cfg, model, sinrs.beta_star, sinrs.gamma_tilde)
+    return model, cfg, sinrs, bounds
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), drg=st.booleans())
+def test_conforming_play_stays_under_the_caps_and_on_target(seed, drg):
+    rng = np.random.default_rng(seed)
+    try:
+        model, cfg, sinrs, bounds = _enforceable_game(rng)
+    except NoFiniteT0Error:
+        assume(False)
+    assume(bounds.t0 <= 50 and bounds.lambda_max > 0.0)
+    if drg:
+        plan, stages = DrgPlan(0.9 * bounds.lambda_max), 20
+    else:
+        plan = FrgPlan(t_total=bounds.t0 + 5, t0=bounds.t0)
+        stages = plan.t_total
+    gains2 = rng.uniform(cfg.eta_min, cfg.eta_max, size=(stages, cfg.k))
+    strategy = make_machines(cfg, model, plan, sinrs.beta_star, sinrs.gamma_tilde)
+    trace = run_game(model, cfg, [ChannelState(tuple(g)) for g in gains2],
+                     strategy, beta_star=sinrs.beta_star)
+    for rec in trace:
+        assert not rec.deviation_detected
+        assert all(p <= cap for p, cap in zip(rec.powers, cfg.p_max))
+        ch, prof = ChannelState(rec.gains2), PowerProfile(rec.powers)
+        assert rec.omega == public_signal(cfg, ch, prof)
+        if rec.phases[0] == "cooperate":
+            np.testing.assert_allclose(rec.sinrs, sinrs.gamma_tilde, rtol=1e-12)

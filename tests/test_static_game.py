@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powergame.efficiency import InfoTheoretic, PacketSuccess, solve_all
 from powergame.errors import NoNashEquilibriumError, SaturatedRegimeError
@@ -13,6 +15,7 @@ from powergame.static_game import (
     NetworkConfig,
     PowerProfile,
     UtilityProfile,
+    _stage_payoffs,
     ne_action,
     ne_profile,
     op_action,
@@ -283,3 +286,26 @@ def test_region_sampler_warns_about_combinatorial_grids():
     ch = ChannelState((1.0,) * 4)
     with pytest.warns(UserWarning, match="combinatorial"):
         sample_utility_region(model, cfg, ch, points_per_axis=4)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(1, 9), rows=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       pkt=st.booleans())
+def test_stage_kernel_batch_is_bitwise_the_per_profile_functions(k, rows, seed, pkt):
+    rng = np.random.default_rng(seed)
+    model = PacketSuccess(int(rng.integers(1, 20))) if pkt else \
+        InfoTheoretic.from_c(float(rng.uniform(0.1, 3.0)))
+    cfg = NetworkConfig(k=k, n=int(rng.integers(1, 64)),
+                        sigma2=float(10.0 ** rng.uniform(-4, 1)),
+                        rates=tuple(rng.uniform(0.5, 2.0, k)), p_max=1e3,
+                        eta_min=1e-3, eta_max=1e3)
+    gains2 = 10.0 ** rng.uniform(-3, 3, size=(rows, k))
+    powers = 10.0 ** rng.uniform(-4, 3, size=(rows, k))
+    powers[rng.random((rows, k)) < 0.2] = 0.0  # zero power earns zero utility
+    sinrs, utils, omega = _stage_payoffs(model, cfg, gains2, powers)
+    assert sinrs.shape == utils.shape == (rows, k) and omega.shape == (rows,)
+    for r in range(rows):
+        ch, prof = ChannelState(tuple(gains2[r])), PowerProfile(tuple(powers[r]))
+        assert sinrs[r].tobytes() == sinr_all(cfg, ch, prof).tobytes()
+        assert tuple(utils[r]) == utility(model, cfg, ch, prof).u
+        assert float(omega[r]) == public_signal(cfg, ch, prof)
