@@ -58,7 +58,6 @@ from .repeated import (
     FrgPlan,
     averaged_utility_drg,
     averaged_utility_frg,
-    delta_gain,
     drg_truncation_horizon,
     lambda_bound,
     make_machines,
@@ -260,10 +259,18 @@ def cmd_simulate(args) -> int:
     cfg = _build_network(doc["network"])
     sinrs = solve_all(model, cfg.k, cfg.n)
     plan = _build_plan(doc, args)
+    # the bound the plan needs, reported beside it; the run goes ahead anyway
     if isinstance(plan, FrgPlan):
         stages = plan.t_total
+        try:
+            bound = t0_bound(cfg, model, sinrs.beta_star, sinrs.gamma_tilde)
+        except NoFiniteT0Error:
+            bound = "none"
+        report = ("t0_bound", bound, bound != "none" and plan.t0 >= bound)
     else:
         stages = args.stages or min(drg_truncation_horizon(plan.lam), 100_000)
+        bound = lambda_bound(cfg, model, sinrs.beta_star, sinrs.gamma_tilde)
+        report = ("lambda_max", bound, plan.lam <= bound)
 
     scenario = None
     dev_fields = None
@@ -284,6 +291,8 @@ def cmd_simulate(args) -> int:
 
     _emit("out", out)
     _emit("stages", len(trace))
+    _emit(report[0], report[1])
+    _emit("enforceable", int(report[2]))
     detected = next((r.t for r in trace if r.deviation_detected), None)
     _emit("deviation_detected_at", detected if detected is not None else "none")
     for i in range(cfg.k):
@@ -380,7 +389,8 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="1-based leader for the leader-follower point")
         p.set_defaults(fn=fn)
 
-    p = sub.add_parser("simulate", help="run a repeated game, write the trace CSV")
+    p = sub.add_parser("simulate", help="run a repeated game, write the trace CSV, "
+                                        "report whether the plan is enforceable")
     p.add_argument("--scenario", required=True)
     p.add_argument("--set", action="append", metavar="KEY=VALUE")
     p.add_argument("--plan", choices=("frg", "drg"))

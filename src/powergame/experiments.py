@@ -31,9 +31,9 @@ import numpy as np
 
 from ._version import VERSION
 from .channel import ChannelMode, ChannelProcess, draw_block
-from .efficiency import PacketSuccess, equal_action_utility, solve_all
+from .efficiency import PacketSuccess, solve_all
 from .errors import NoFiniteT0Error, NoNashEquilibriumError, SaturatedRegimeError
-from .repeated import _t0_ratios, lambda_bound, t0_bound
+from .repeated import _bound_terms, _lambda_edge, _t0_edge, _t0_floor_edge, _t0_ratios, t0_bound
 from .static_game import (
     ChannelState,
     NetworkConfig,
@@ -224,56 +224,25 @@ class DynamicsResult:
     rows: tuple[DynamicsRow, ...]
 
 
-def _max_admissible_ratio(pred) -> float | None:
-    """Largest gain ratio >= 1 passing the monotone predicate; None if 1 fails."""
-    if not pred(1.0):
-        return None
-    lo, hi = 1.0, 2.0
-    for _ in range(200):
-        if not pred(hi):
-            break
-        lo, hi = hi, hi * 2.0
-    else:
-        raise RuntimeError("admissible-ratio bracket did not close")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if pred(mid):
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * hi:
-            break
-    return lo
-
-
-def _uniform_cfg(k, n, sigma2, rate, p_max, eta_min, ratio) -> NetworkConfig:
-    return NetworkConfig.uniform(k=k, n=n, sigma2=sigma2, rate=rate,
+def _uniform_cfg(k, n, sigma2, p_max, eta_min, ratio) -> NetworkConfig:
+    return NetworkConfig.uniform(k=k, n=n, sigma2=sigma2, rate=1.0,
                                  p_max=p_max, eta_min=eta_min,
                                  eta_max=eta_min * ratio)
 
 
-def _dynamics_sweep(curves, m, grid, sigma2, p_max, eta_min, admissible_at):
+def _dynamics_sweep(csv_path, out_dir, name, x_name, config, grid, edge):
+    """One row per (curve, x) at the largest gain ratio edge(model, k, n, sinrs, x)."""
+    curves = config["curves"]
+    if any(k < 2 for k, _ in curves):
+        raise ValueError(f"dynamics curves need k >= 2 players, got {curves}")
+    model = PacketSuccess(config["m"])
     rows = []
     for k, n in curves:
-        model = PacketSuccess(m)
         sinrs = solve_all(model, k, n)
         for x in grid:
-            def pred(ratio, _x=x, _k=k, _n=n, _s=sinrs):
-                cfg = _uniform_cfg(_k, _n, sigma2, 1.0, p_max, eta_min, ratio)
-                return admissible_at(cfg, model, _s, _x)
-
-            best = _max_admissible_ratio(pred)
-            if best is None:
-                rows.append(DynamicsRow(k, n, x, 1.0, 0.0, False))
-            else:
-                rows.append(DynamicsRow(k, n, x, best,
-                                        10.0 * math.log10(best), True))
-    return rows
-
-
-def _emit_dynamics(csv_path, out_dir, name, x_name, config, rows):
+            best = edge(model, k, n, sinrs, x)
+            rows.append(DynamicsRow(k, n, x, best, 10.0 * math.log10(best), True)
+                        if best >= 1.0 else DynamicsRow(k, n, x, 1.0, 0.0, False))
     csv_path = csv_path or _default_path(out_dir, name)
     _write_csv(csv_path, name, config, None,
                ["k", "n", x_name, "ratio_max", "dynamics_db", "admissible"],
@@ -288,35 +257,30 @@ def fig2_dynamics_vs_t(csv_path=None, out_dir=".",
                        p_max: float = 100.0, eta_min: float = 1.0) -> DynamicsResult:
     """Max admissible gain dynamics (dB) vs finite horizon, per (k, n) curve."""
 
-    def admissible(cfg, model, sinrs, t):
-        try:
-            return t0_bound(cfg, model, sinrs.beta_star, sinrs.gamma_tilde) <= t
-        except NoFiniteT0Error:
-            return False
+    def edge(model, k, n, sinrs, t):
+        cfg = _uniform_cfg(k, n, sigma2, p_max, eta_min, 1.0)
+        return _t0_edge(cfg, model, sinrs.beta_star, sinrs.gamma_tilde, t)
 
     config = {"curves": [list(c) for c in curves], "m": m,
               "t_grid": list(t_grid), "sigma2": sigma2, "p_max": p_max,
               "eta_min": eta_min}
-    rows = _dynamics_sweep(curves, m, t_grid, sigma2, p_max, eta_min, admissible)
-    return _emit_dynamics(csv_path, out_dir, "fig2", "t", config, rows)
+    return _dynamics_sweep(csv_path, out_dir, "fig2", "t", config, t_grid, edge)
 
 
 def fig3_dynamics_vs_lambda(csv_path=None, out_dir=".",
                             curves=((2, 2), (4, 5), (10, 12)), m: int = 2,
                             lambda_grid=tuple(np.linspace(0.005, 0.25, 50)),
-                            sigma2: float = 1e-3, p_max: float = 100.0,
-                            eta_min: float = 1.0) -> DynamicsResult:
-    """Max admissible gain dynamics (dB) vs stopping probability, per curve."""
+                            ) -> DynamicsResult:
+    """Max admissible gain dynamics (dB) vs stopping probability, per curve (scale-free)."""
+    grid = [float(v) for v in lambda_grid]
+    if not all(0.0 < lam < 1.0 for lam in grid):
+        raise ValueError(f"stopping probabilities must lie in (0, 1), got {grid}")
 
-    def admissible(cfg, model, sinrs, lam):
-        return lambda_bound(cfg, model, sinrs.beta_star, sinrs.gamma_tilde) >= lam
+    def edge(model, k, n, sinrs, lam):
+        return _lambda_edge(model, k, n, sinrs.beta_star, sinrs.gamma_tilde, lam)
 
-    config = {"curves": [list(c) for c in curves], "m": m,
-              "lambda_grid": [float(v) for v in lambda_grid], "sigma2": sigma2,
-              "p_max": p_max, "eta_min": eta_min}
-    rows = _dynamics_sweep(curves, m, [float(v) for v in lambda_grid],
-                           sigma2, p_max, eta_min, admissible)
-    return _emit_dynamics(csv_path, out_dir, "fig3", "lam", config, rows)
+    config = {"curves": [list(c) for c in curves], "m": m, "lambda_grid": grid}
+    return _dynamics_sweep(csv_path, out_dir, "fig3", "lam", config, grid, edge)
 
 
 # ---------------------------------------------------------------- fig4
@@ -355,17 +319,11 @@ def _fig4_point(args):
     model = PacketSuccess(m)
     try:
         sinrs = solve_all(model, k, n)
-    except NoNashEquilibriumError as exc:
-        return ("skip", m, k, str(exc))
-    beta, gamma, tilde = sinrs.beta_star, sinrs.gamma_star, sinrs.gamma_tilde
-    if (k - 1) * beta >= n:
-        return ("skip", m, k, "load exceeds the one-shot equilibrium limit")
-    c_ne = equal_action_utility(model, beta, k, n)
-    c_op = equal_action_utility(model, tilde, k, n)
-    try:
+        beta, gamma, tilde = sinrs.beta_star, sinrs.gamma_star, sinrs.gamma_tilde
+        _, c_ne, c_op = _bound_terms(model, k, n, beta, tilde)
         bn, gn, d = _leader_margin(k, n, beta, gamma)
-    except NoNashEquilibriumError:
-        return ("skip", m, k, "leader-follower equilibrium does not exist")
+    except NoNashEquilibriumError as exc:  # past the one-shot or leader-follower load
+        return ("skip", m, k, str(exc))
     c_lead = d * model.value(gamma) / (gamma * (1.0 + bn))
     c_follow = d * model.value(beta) / (beta * (1.0 + gn))
 
@@ -499,11 +457,10 @@ def fig5_frg_ratio_vs_t(csv_path=None, out_dir=".", k: int = 35, m: int = 10,
     t0 = t0_bound(cfg, model, sinrs.beta_star, sinrs.gamma_tilde)
     t_grid = [mult * t0 for mult in t_multiples]
 
-    phi_ne = equal_action_utility(model, sinrs.beta_star, k, n)
-    phi_op = equal_action_utility(model, sinrs.gamma_tilde, k, n)
+    f_ne, phi_ne, phi_op = _bound_terms(model, k, n, sinrs.beta_star, sinrs.gamma_tilde)
     limit = phi_op / phi_ne
     # stage welfare per unit gain: f(x)/a(x), proportional to phi(x)
-    rate_ne = model.value(sinrs.beta_star) / ne_action(cfg, sinrs.beta_star)
+    rate_ne = f_ne / ne_action(cfg, sinrs.beta_star)
     rate_coop = model.value(sinrs.gamma_tilde) / op_action(cfg, sinrs.gamma_tilde)
 
     process = ChannelProcess(
@@ -566,50 +523,31 @@ def fig5_t0_sweep(csv_path=None, out_dir=".", k: int = 35, m: int = 10,
 
     The bound depends on the absolute gain floor through the punishment
     interference term, so the sweep reports which (if any) decade scale
-    lands on the target value, plus the interpolated scale that would hit
-    the target exactly.
+    lands on the target value, plus the closed-form scale that would hit
+    the target exactly when the decades bracket it.
     """
     model = PacketSuccess(m)
     sinrs = solve_all(model, k, n)
     ratio = 10.0 ** (dynamics_db / 10.0)
+    terms = (model, sinrs.beta_star, sinrs.gamma_tilde)
 
-    def bound_at(scale: float) -> int | None:
-        cfg = _uniform_cfg(k, n, sigma2, 1.0, p_max, scale, ratio)
+    def at(scale: float, bound):
         try:
-            return t0_bound(cfg, model, sinrs.beta_star, sinrs.gamma_tilde)
+            return bound(_uniform_cfg(k, n, sigma2, p_max, scale, ratio), *terms)
         except NoFiniteT0Error:
             return None
 
-    bounds = [(s, bound_at(s)) for s in scales]
+    t0s = [at(s, t0_bound) for s in scales]
     rows = [SweepRow(s, b, b is not None and abs(b - target) <= 1)
-            for s, b in bounds]
-
-    def real_ratio(scale: float) -> float | None:
-        cfg = _uniform_cfg(k, n, sigma2, 1.0, p_max, scale, ratio)
-        try:
-            return _t0_ratios(cfg, model, sinrs.beta_star, sinrs.gamma_tilde,
-                              0)[0]
-        except NoFiniteT0Error:
-            return None
-
+            for s, b in zip(scales, t0s)]
+    # the real-valued ratio decreases in the scale, so the decades bracket
+    # the target when some finite ratio reaches it and another falls short
+    finite = [r for r in (at(s, lambda *a: _t0_ratios(*a, 0)[0]) for s in scales)
+              if r is not None]
     implied = None
-    finite = [(s, real_ratio(s)) for s in scales]
-    finite = [(s, r) for s, r in finite if r is not None]
-    above = [s for s, r in finite if r >= target]
-    below = [s for s, r in finite if r < target]
-    if above and below:
-        lo, hi = max(above), min(below)  # ratio decreases in the scale
-        for _ in range(200):
-            mid = math.sqrt(lo * hi)
-            if not lo < mid < hi:
-                break
-            if (real_ratio(mid) or math.inf) >= target:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-9 * hi:
-                break
-        implied = lo
+    if any(r >= target for r in finite) and any(r < target for r in finite):
+        implied = _t0_floor_edge(_uniform_cfg(k, n, sigma2, p_max, 1.0, ratio),
+                                 *terms, target)
 
     config = {"k": k, "m": m, "n": n, "p_max": p_max, "sigma2": sigma2,
               "dynamics_db": dynamics_db, "scales": [float(s) for s in scales],

@@ -13,20 +13,22 @@ monitoring the public signal omega = sigma2 + sum_i p_i |g_i|^2.  Two plans:
 make one-stage deviations unprofitable against worst-case bounded gains.
 Both are evaluated exactly as stated, including the deviation payoff being
 bounded by the interference-free maximum; see ``t0_bound_exact_deviation``
-for the tighter diagnostic that uses the true best deviation instead.
+for the tighter diagnostic that uses the true best deviation instead.  Their
+closed-form inverses for alike players serve the experiment runners.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from math import ceil, log
+from math import ceil, floor, log
 
 import numpy as np
 
 from .efficiency import EfficiencyModel, equal_action_utility
 from .errors import NoFiniteT0Error, PowerGameError, SaturatedRegimeError
 from .static_game import ChannelState, NetworkConfig, _stage_payoffs, ne_action, op_action
+from .static_game import _require_one_shot
 
 
 @dataclass(frozen=True)
@@ -121,14 +123,27 @@ class DeviationScenario:
     best_response_after: bool = False
 
 
+def _bound_terms(model: EfficiencyModel, k: int, n: int, beta_star: float,
+                 gamma_tilde: float) -> tuple[float, float, float]:
+    """f(b), phi(b), phi(gt) for the bounds; NoNashEquilibriumError without a one-shot NE."""
+    _require_one_shot(k, n, beta_star)
+    return (model.value(beta_star), equal_action_utility(model, beta_star, k, n),
+            equal_action_utility(model, gamma_tilde, k, n))
+
+
+def _punish_interference(cfg: NetworkConfig, i: int) -> float:
+    """Noise plus the others' received power at full power and the gain floor."""
+    return sum(cfg.p_max[j] * cfg.eta_min[j] for j in range(cfg.k) if j != i) + cfg.sigma2
+
+
 def delta_gain(model: EfficiencyModel, k: int, n: int,
                beta_star: float, gamma_tilde: float) -> float:
     """Per-stage cooperation surplus in equal-action utility units (>= 0)."""
     if gamma_tilde == beta_star:
         return 0.0
-    d = (equal_action_utility(model, gamma_tilde, k, n)
-         - equal_action_utility(model, beta_star, k, n))
-    if d < -1e-12 * equal_action_utility(model, beta_star, k, n):
+    _, phi_ne, phi_op = _bound_terms(model, k, n, beta_star, gamma_tilde)
+    d = phi_op - phi_ne
+    if d < -1e-12 * phi_ne:
         raise PowerGameError("cooperative utility fell below equilibrium utility")
     return max(d, 0.0)
 
@@ -143,21 +158,15 @@ def _t0_ratios(cfg: NetworkConfig, model: EfficiencyModel, beta_star: float,
     interference once per player.
     """
     k, n = cfg.k, cfg.n
-    f_ne = model.value(beta_star)
-    phi_ne = equal_action_utility(model, beta_star, k, n)
-    phi_op = equal_action_utility(model, gamma_tilde, k, n)
+    f_ne, phi_ne, phi_op = _bound_terms(model, k, n, beta_star, gamma_tilde)
     deviation_term = f_ne / beta_star
     if exact_deviation:
         deviation_term = deviation_term * (1.0 - (k - 1) * gamma_tilde / n)
     ratios = []
     for i in range(k) if player is None else (player,):
-        punish_interference = (
-            sum(cfg.p_max[j] * cfg.eta_min[j] for j in range(k) if j != i)
-            + cfg.sigma2
-        )
         numerator = cfg.eta_max[i] * deviation_term - cfg.eta_min[i] * phi_op
         denominator = cfg.eta_min[i] * phi_ne - cfg.eta_max[i] * f_ne / (
-            beta_star * punish_interference)
+            beta_star * _punish_interference(cfg, i))
         if denominator <= 0.0:
             raise NoFiniteT0Error(
                 "full-power punishment too weak for player "
@@ -166,6 +175,34 @@ def _t0_ratios(cfg: NetworkConfig, model: EfficiencyModel, beta_star: float,
             )
         ratios.append(numerator / denominator)
     return ratios
+
+
+def _t0_edge(cfg: NetworkConfig, model: EfficiencyModel, beta_star: float,
+             gamma_tilde: float, t: float) -> float:
+    """Largest eta_max/eta_min with t0_bound <= t, every player alike; < 1: none.
+
+    With R = eta_max/eta_min, D = f(b)/b, I the punishment interference and
+    T = floor(t), ceil(r) <= t iff R*D*(1 + T/I) <= T*phi(b) + phi(gt).  The
+    edge is a weighted mean of phi(b)*I/D and phi(gt)/D < 1, so when it is >= 1
+    the denominator of r stays positive on [1, edge]: NoFiniteT0Error never binds.
+    """
+    f_ne, phi_ne, phi_op = _bound_terms(model, cfg.k, cfg.n, beta_star, gamma_tilde)
+    t = max(floor(t), 0)
+    return (t * phi_ne + phi_op) / (f_ne / beta_star
+                                    * (1.0 + t / _punish_interference(cfg, 0)))
+
+
+def _t0_floor_edge(cfg: NetworkConfig, model: EfficiencyModel, beta_star: float,
+                   gamma_tilde: float, target: float) -> float:
+    """Gain floor at which the t0 ratio r of alike players equals target.
+
+    At cfg's R, r = target at I = R*D / (phi(b) - (R*D - phi(gt))/target), the
+    punishment interference of eta_min = (I - sigma2) / ((k-1) p_max).
+    """
+    f_ne, phi_ne, phi_op = _bound_terms(model, cfg.k, cfg.n, beta_star, gamma_tilde)
+    spread = cfg.eta_max[0] / cfg.eta_min[0] * f_ne / beta_star
+    interference = spread / (phi_ne - (spread - phi_op) / target)
+    return (interference - cfg.sigma2) / ((cfg.k - 1) * cfg.p_max[0])
 
 
 def t0_bound(cfg: NetworkConfig, model: EfficiencyModel, beta_star: float,
@@ -216,6 +253,16 @@ def lambda_bound(cfg: NetworkConfig, model: EfficiencyModel, beta_star: float,
     for lo, hi in zip(cfg.eta_min, cfg.eta_max):
         out = min(out, lo * delta / (lo * delta + hi * ((cfg.k - 1) * f_ne - delta)))
     return out
+
+
+def _lambda_edge(model: EfficiencyModel, k: int, n: int, beta_star: float,
+                 gamma_tilde: float, lam: float) -> float:
+    """Largest eta_max/eta_min with lambda_bound >= lam, every player alike; < 1: none.
+
+    The gain floor cancels, so the edge depends on (model, k, n) alone.
+    """
+    delta = delta_gain(model, k, n, beta_star, gamma_tilde)
+    return delta * (1.0 - lam) / (lam * ((k - 1) * model.value(beta_star) - delta))
 
 
 def rg_bounds(cfg: NetworkConfig, model: EfficiencyModel, beta_star: float,

@@ -167,13 +167,17 @@ def _actions_to_profile(cfg: NetworkConfig, ch: ChannelState, actions: np.ndarra
     return PowerProfile(tuple(p))
 
 
-def ne_action(cfg: NetworkConfig, beta_star: float) -> float:
-    """Received action of the one-shot equilibrium: sigma2*b/(n - (k-1)b)."""
-    if cfg.k >= 2 and (cfg.k - 1) * beta_star >= cfg.n:
+def _require_one_shot(k: int, n: int, beta_star: float) -> None:
+    if k >= 2 and (k - 1) * beta_star >= n:
         raise NoNashEquilibriumError(
             "one-shot equilibrium requires 2 <= K < N/beta_star + 1 "
-            f"(K={cfg.k}, N={cfg.n}, beta_star={beta_star})"
+            f"(K={k}, N={n}, beta_star={beta_star})"
         )
+
+
+def ne_action(cfg: NetworkConfig, beta_star: float) -> float:
+    """Received action of the one-shot equilibrium: sigma2*b/(n - (k-1)b)."""
+    _require_one_shot(cfg.k, cfg.n, beta_star)
     return _equal_action(cfg, beta_star)
 
 

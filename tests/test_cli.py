@@ -157,6 +157,31 @@ def test_degenerate_fig1_grid_exits_1(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []  # rejected before anything is written
 
 
+def test_dynamics_sweeps_without_a_one_shot_equilibrium_exit_4(tmp_path):
+    # m=4 puts the (2, 2) curve past the one-shot load limit
+    for name in ("fig2", "fig3"):
+        code, _ = _run(["experiment", name, "--out-dir", str(tmp_path),
+                        "--set", "m=4"])
+        assert code == 4
+    assert list(tmp_path.iterdir()) == []  # rejected before anything is written
+    doc = dict(EQUAL_BOUNDS, model={"family": "pkt", "m": 4},
+               network=dict(EQUAL_BOUNDS["network"], n=2))
+    code, _ = _run(["bounds", "--scenario", _scenario(tmp_path, doc=doc)])
+    assert code == 4
+
+
+def test_dynamics_sweeps_reject_single_player_curves_and_bad_lambdas(tmp_path, capsys):
+    for name in ("fig2", "fig3"):
+        code, _ = _run(["experiment", name, "--out-dir", str(tmp_path),
+                        "--set", "curves=[[2, 2], [1, 4]]"])
+        assert code == 1
+        assert "k >= 2" in capsys.readouterr().err
+    code, _ = _run(["experiment", "fig3", "--out-dir", str(tmp_path),
+                    "--set", "lambda_grid=[0.1, 0.0]"])
+    assert code == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unknown_experiment_option_exits_1(tmp_path):
     code, _ = _run(["experiment", "fig2", "--out", str(tmp_path / "x.csv"),
                     "--set", "nonsense=1"])
@@ -209,6 +234,37 @@ def test_simulate_drg_reports_tail_bounds(tmp_path):
     assert res["stages"] == "40"
     assert res["deviation_detected_at"] == "none"
     assert float(res["avg_utility_tail_bound_1"]) > 0.0
+
+
+def test_simulate_reports_frg_enforceability(tmp_path):
+    argv = ["simulate", "--plan", "frg", "--t", "6", "--out",
+            str(tmp_path / "trace.csv"), "--scenario"]
+    code, res = _run(argv + [_scenario(tmp_path), "--t0", "2"])
+    assert code == 0
+    assert res["t0_bound"] == "1" and res["enforceable"] == "1"
+    code, res = _run(argv + [_scenario(tmp_path), "--t0", "0"])
+    assert code == 0
+    assert res["t0_bound"] == "1" and res["enforceable"] == "0"
+    # caps just above the equilibrium's: punishment too weak for any horizon
+    doc = {"model": {"family": "pkt", "m": 2},
+           "network": {"k": 2, "n": 16, "sigma2": 1.0, "rates": 1.0,
+                       "p_max": 0.1, "eta_min": 1.0, "eta_max": 2.0},
+           "gains2": [1.0, 2.0]}
+    code, res = _run(argv + [_scenario(tmp_path, doc=doc), "--t0", "3"])
+    assert code == 0
+    assert res["t0_bound"] == "none" and res["enforceable"] == "0"
+    assert res["stages"] == "6"
+
+
+def test_simulate_reports_drg_enforceability(tmp_path):
+    lam_max = 2.0 * math.exp(-0.5) - 1.0  # about 0.213
+    argv = ["simulate", "--scenario", _scenario(tmp_path), "--plan", "drg",
+            "--stages", "10", "--out", str(tmp_path / "trace.csv"), "--lam"]
+    for lam, flag in (("0.1", "1"), ("0.3", "0")):
+        code, res = _run(argv + [lam])
+        assert code == 0
+        np.testing.assert_allclose(float(res["lambda_max"]), lam_max, rtol=1e-12)
+        assert res["enforceable"] == flag
 
 
 def test_override_scales_equilibrium_power(tmp_path):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from powergame.efficiency import (
@@ -253,6 +253,15 @@ def test_single_crossing_argument_matches_the_scan(model, k, n):
         assert x0 is None
     else:
         assert abs(x0 - x0_scan) <= n / (k - 1) / 100_001  # the scan's grid step
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(model=MODELS, k=st.integers(1, 12), n=st.integers(1, 64))
+def test_sinr_ordering_wherever_the_one_shot_equilibrium_exists(model, k, n):
+    beta = solve_beta_star(model)  # not positive for PacketSuccess(1)
+    assume(beta > 0.0 and (k - 1) * beta < n)
+    s = solve_all(model, k, n)
+    assert 0.0 < s.gamma_tilde <= s.gamma_star <= s.beta_star
 
 
 def test_scalar_ratio_path_is_bitwise_the_array_path():

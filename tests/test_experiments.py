@@ -5,8 +5,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from powergame.efficiency import PacketSuccess, equal_action_utility, solve_all
+from powergame.efficiency import (
+    PacketSuccess,
+    equal_action_utility,
+    solve_all,
+    solve_beta_star,
+)
+from powergame.errors import NoFiniteT0Error
 from powergame.experiments import (
     DEFAULT_SEED,
     fig1_region,
@@ -17,6 +25,15 @@ from powergame.experiments import (
     fig5_t0_sweep,
     max_supported_players,
 )
+from powergame.repeated import (
+    _lambda_edge,
+    _t0_edge,
+    _t0_floor_edge,
+    _t0_ratios,
+    lambda_bound,
+    t0_bound,
+)
+from powergame.static_game import NetworkConfig
 
 # hand-derived admissibility coefficients delta / ((k-1) f(b) - delta) for the
 # m=2 sweep curves; the stopping-probability sweep's max ratio is coeff*(1-x)/x
@@ -122,6 +139,77 @@ def test_fig3_matches_the_scale_free_closed_form(tmp_path):
     assert not flags[(10, 12, 0.05)]
     assert flags[(2, 2, 0.15)]
     assert not flags[(4, 5, 0.15)] and not flags[(10, 12, 0.15)]
+
+
+def _loaded_game(m, k, n):
+    """PacketSuccess(m) on a (k, n) curve with a one-shot equilibrium."""
+    model = PacketSuccess(m)
+    assume((k - 1) * solve_beta_star(model) < n)
+    return model, solve_all(model, k, n)
+
+
+def _alike(k, n, sigma2, p_max, eta_min, ratio):
+    return NetworkConfig.uniform(k=k, n=n, sigma2=sigma2, rate=1.0, p_max=p_max,
+                                 eta_min=eta_min, eta_max=eta_min * ratio)
+
+
+def _check_edge(edge, admissible):
+    """Ratios just inside the edge pass; just outside (or 1, below it) fail."""
+    if edge >= 1.0:
+        assert admissible(max(edge * (1.0 - 1e-12), 1.0))
+    assert not admissible(max(edge * (1.0 + 1e-9), 1.0))
+
+
+CURVE = dict(m=st.integers(2, 20), k=st.integers(2, 12), n=st.integers(1, 128))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(**CURVE, t=st.integers(1, 500), log_sigma2=st.floats(-5.0, 0.0),
+       log_p_max=st.floats(-2.0, 3.0), log_eta_min=st.floats(-2.0, 2.0))
+def test_fig2_edge_is_where_t0_bound_crosses_t(m, k, n, t, log_sigma2,
+                                               log_p_max, log_eta_min):
+    model, sinrs = _loaded_game(m, k, n)
+    scale = (10.0 ** log_sigma2, 10.0 ** log_p_max, 10.0 ** log_eta_min)
+
+    def admissible(ratio):
+        cfg = _alike(k, n, *scale, ratio)
+        try:
+            return t0_bound(cfg, model, sinrs.beta_star, sinrs.gamma_tilde) <= t
+        except NoFiniteT0Error:
+            return False
+
+    edge = _t0_edge(_alike(k, n, *scale, 1.0), model, sinrs.beta_star,
+                    sinrs.gamma_tilde, t)
+    _check_edge(edge, admissible)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(**CURVE, lam=st.floats(1e-3, 0.5), log_eta_min=st.floats(-2.0, 2.0))
+def test_fig3_edge_is_where_lambda_bound_crosses_lambda(m, k, n, lam,
+                                                        log_eta_min):
+    model, sinrs = _loaded_game(m, k, n)
+
+    def admissible(ratio):
+        cfg = _alike(k, n, 1e-3, 100.0, 10.0 ** log_eta_min, ratio)
+        return lambda_bound(cfg, model, sinrs.beta_star, sinrs.gamma_tilde) >= lam
+
+    edge = _lambda_edge(model, k, n, sinrs.beta_star, sinrs.gamma_tilde, lam)
+    _check_edge(edge, admissible)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(**CURVE, target=st.integers(2, 10_000), ratio=st.floats(1.0, 100.0),
+       log_sigma2=st.floats(-6.0, 0.0), log_p_max=st.floats(-3.0, 2.0))
+def test_t0_sweep_floor_puts_the_t0_ratio_on_target(m, k, n, target, ratio,
+                                                    log_sigma2, log_p_max):
+    model, sinrs = _loaded_game(m, k, n)
+    sigma2, p_max = 10.0 ** log_sigma2, 10.0 ** log_p_max
+    floor = _t0_floor_edge(_alike(k, n, sigma2, p_max, 1.0, ratio), model,
+                           sinrs.beta_star, sinrs.gamma_tilde, target)
+    assume(0.0 < floor < math.inf)
+    at = _alike(k, n, sigma2, p_max, floor, ratio)
+    r = _t0_ratios(at, model, sinrs.beta_star, sinrs.gamma_tilde, 0)[0]
+    np.testing.assert_allclose(r, target, rtol=1e-9)
 
 
 def test_fig4_small_run_rows_and_skips(tmp_path):

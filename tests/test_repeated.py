@@ -16,7 +16,7 @@ from powergame.efficiency import (
     equal_action_utility,
     solve_all,
 )
-from powergame.errors import NoFiniteT0Error, SaturatedRegimeError
+from powergame.errors import NoFiniteT0Error, NoNashEquilibriumError, SaturatedRegimeError
 from powergame.repeated import (
     DeviationScenario,
     DrgPlan,
@@ -129,6 +129,18 @@ def test_weak_punishment_has_no_finite_horizon():
                                  eta_min=1.0, eta_max=1.0)
     with pytest.raises(NoFiniteT0Error):
         t0_bound(weak, model, sinrs.beta_star, sinrs.gamma_tilde)
+
+
+def test_bounds_refuse_loads_without_a_one_shot_equilibrium():
+    # m=4: beta_star is about 2.2, so (k-1)*beta_star >= n on the (2, 2) curve
+    model = PacketSuccess(4)
+    sinrs = solve_all(model, 2, 2)
+    assert sinrs.beta_star >= 2.0
+    for ratio in (1.0, 2.0):
+        cfg = _uniform_cfg(2, 2, ratio=ratio)
+        for bound in (t0_bound, t0_bound_exact_deviation, lambda_bound, rg_bounds):
+            with pytest.raises(NoNashEquilibriumError, match="beta_star"):
+                bound(cfg, model, sinrs.beta_star, sinrs.gamma_tilde)
 
 
 def test_exact_deviation_bound_never_exceeds_worst_case_bound():
