@@ -1,15 +1,23 @@
 """Block-fading channel processes with bounded Rayleigh power gains.
 
 Squared gains are exponential (Rayleigh power) with a per-player mean,
-truncated to [eta_min, eta_max] by rejection, never by clipping.  Draws use
-the counter-based Philox generator so every (seed, player, stage) triple maps
-to the same gain on every run and under any worker partitioning:
+truncated to [eta_min, eta_max] exactly, never by clipping: one uniform u per
+gain goes through the inverse CDF of the truncated law (Devroye 1986, §2),
 
-    engine draws:  Philox(key=[seed, player], counter=[0, stage, 0, 0])
-    bulk draws:    Philox(key=[seed, 2**32 + substream]), sequential stream
+    x = eta_min - mean*log1p(u*expm1(-(eta_max - eta_min)/mean)).
 
-``constant`` mode freezes the stage-1 draw for the whole game; ``per_stage``
-redraws every stage.
+Uniforms come from counter-based Philox streams (Salmon et al., SC'11), so
+every gain is a fixed function of (seed, player, stage) or (seed, substream,
+player, stage), the same on every run and under any worker partitioning.
+The two key schemes are layouts over one uniform stream per key:
+
+    engine draws:  Philox(key=[seed, player]); stage t takes output t-1
+    bulk draws:    Philox(key=[seed, 2**32 + substream]); column i takes
+                   outputs [i*stages, (i+1)*stages)
+
+so engine draws do not shift when players are added, and neither do the
+columns of a bulk block.  ``constant`` mode freezes the stage-1 draw for the
+whole game; ``per_stage`` redraws every stage.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from enum import Enum
-from math import exp, log10
+from math import exp, expm1, isfinite, log10
 
 import numpy as np
 
@@ -62,8 +70,9 @@ class ChannelProcess:
         if not 0 <= self.seed < 2**64:
             raise ChannelConfigError("seed must fit in an unsigned 64-bit word")
         for mu, lo, hi in zip(self.mean_gain2, self.eta_min, self.eta_max):
-            if not (mu > 0.0 and 0.0 < lo <= hi):
-                raise ChannelConfigError("need mean > 0 and 0 < eta_min <= eta_max")
+            if not (mu > 0.0 and 0.0 < lo <= hi and isfinite(mu) and isfinite(lo)):
+                raise ChannelConfigError(
+                    "need 0 < mean and 0 < eta_min <= eta_max, mean and eta_min finite")
             if lo < hi and acceptance_probability(mu, lo, hi) < MIN_ACCEPTANCE:
                 raise ChannelConfigError(
                     f"bounds [{lo}, {hi}] keep less than {MIN_ACCEPTANCE} of the "
@@ -82,60 +91,74 @@ class ChannelProcess:
                    eta_min=cfg.eta_min, eta_max=cfg.eta_max, seed=seed)
 
 
-def _player_generator(process: ChannelProcess, player: int, stage: int) -> np.random.Generator:
-    bg = np.random.Philox(counter=[0, stage, 0, 0], key=[process.seed, player])
-    return np.random.Generator(bg)
+def _laws(process: ChannelProcess) -> list[tuple[float, float, float, float]]:
+    """Per player: mean, eta_min, eta_max and expm1(-(eta_max - eta_min)/mean)."""
+    return [(mu, lo, hi, expm1(-(hi - lo) / mu)) for mu, lo, hi in
+            zip(process.mean_gain2, process.eta_min, process.eta_max)]
 
 
-def _draw_one(gen: np.random.Generator, mean: float, lo: float, hi: float) -> float:
-    if lo == hi:
-        return lo
-    while True:
-        v = gen.exponential(mean)
-        if lo <= v <= hi:
-            return float(v)
+def _truncated_exponential(u: np.ndarray, mean, lo, hi, scale) -> np.ndarray:
+    """Map uniforms u in [0, 1) to gains of the truncated law, in place.
+
+    ``scale`` is expm1(-(hi - lo)/mean), so u*scale lies in (-1, 0] and the
+    log1p stays finite however far lo sits in the tail.  The law is exact;
+    the final min only absorbs an ulp of rounding as u -> 1, and lo == hi
+    gives lo.  Parameters are scalars or arrays matching u.
+    """
+    u *= scale
+    np.log1p(u, out=u)
+    u *= -mean
+    u += lo
+    return np.minimum(u, hi, out=u)
+
+
+def _stream(seed: int, word: int) -> np.random.Generator:
+    # an explicit uint64 key: a plain list of ints at or above 2**63 goes
+    # through float64, and neighbouring seeds would share a key
+    key = np.array([seed, word], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def _engine_gains(process: ChannelProcess, stages: int) -> np.ndarray:
+    """(k, width) engine gains, width 1 in constant mode: one generator per player."""
+    width = 1 if process.mode is ChannelMode.CONSTANT else stages
+    gains = np.empty((process.k, width))
+    for i, (row, law) in enumerate(zip(gains, _laws(process))):
+        _stream(process.seed, i).random(out=row)
+        _truncated_exponential(row, *law)
+    return gains
 
 
 def draw(process: ChannelProcess, t: int) -> ChannelState:
-    """Gains for stage t (1-based).  Constant mode replays the stage-1 draw."""
+    """Gains for stage t (1-based): stage t of ``draw_sequence(process, t)``."""
     if t < 1:
         raise ValueError("stages are 1-based")
-    stage = 1 if process.mode is ChannelMode.CONSTANT else t
-    gains = tuple(
-        _draw_one(_player_generator(process, i, stage), mu, lo, hi)
-        for i, (mu, lo, hi) in enumerate(
-            zip(process.mean_gain2, process.eta_min, process.eta_max))
-    )
-    return ChannelState(gains)
+    return ChannelState(tuple(_engine_gains(process, t)[:, -1].tolist()))
 
 
 def draw_sequence(process: ChannelProcess, stages: int) -> list[ChannelState]:
-    return [draw(process, t) for t in range(1, stages + 1)]
+    """Gains for stages 1..stages.  Constant mode replays the stage-1 draw."""
+    states = [ChannelState(g) for g in zip(*_engine_gains(process, stages).tolist())]
+    return states * stages if process.mode is ChannelMode.CONSTANT else states
 
 
 def draw_block(process: ChannelProcess, stages: int, substream: int = 0) -> np.ndarray:
     """Vectorised (stages, k) gain matrix from one bulk substream.
 
     Used by the Monte Carlo experiment runners; one substream per replica
-    keeps results independent of chunking and worker count.
+    keeps results independent of chunking and worker count.  Columns are
+    filled one at a time through a reused buffer, so the uniforms never
+    need more than one column of memory.
     """
     if process.mode is ChannelMode.CONSTANT:
         row = np.asarray(draw(process, 1).gains2)
         return np.tile(row, (stages, 1))
-    gen = np.random.Generator(
-        np.random.Philox(key=[process.seed, _BULK_KEY_OFFSET + substream]))
+    gen = _stream(process.seed, _BULK_KEY_OFFSET + substream)
     out = np.empty((stages, process.k))
-    for i, (mu, lo, hi) in enumerate(
-            zip(process.mean_gain2, process.eta_min, process.eta_max)):
-        if lo == hi:
-            out[:, i] = lo
-            continue
-        col = gen.exponential(mu, size=stages)
-        bad = (col < lo) | (col > hi)
-        while bad.any():
-            col[bad] = gen.exponential(mu, size=int(bad.sum()))
-            bad = (col < lo) | (col > hi)
-        out[:, i] = col
+    col = np.empty(stages)
+    for i, law in enumerate(_laws(process)):
+        gen.random(out=col)
+        out[:, i] = _truncated_exponential(col, *law)
     return out
 
 

@@ -41,7 +41,6 @@ from .channel import ChannelProcess, draw_sequence
 from .efficiency import (
     InfoTheoretic,
     PacketSuccess,
-    equal_action_utility,
     solve_all,
 )
 from .errors import (
@@ -56,6 +55,7 @@ from .repeated import (
     DeviationScenario,
     DrgPlan,
     FrgPlan,
+    _bound_terms,
     averaged_utility_drg,
     averaged_utility_frg,
     drg_truncation_horizon,
@@ -189,8 +189,8 @@ def cmd_solve(args) -> int:
         else:
             raise ValueError("--model exp needs --rate or --c")
     sinrs = solve_all(model, args.k, args.n)
-    phi_ne = equal_action_utility(model, sinrs.beta_star, args.k, args.n)
-    phi_op = equal_action_utility(model, sinrs.gamma_tilde, args.k, args.n)
+    _, phi_ne, phi_op = _bound_terms(model, args.k, args.n, sinrs.beta_star,
+                                     sinrs.gamma_tilde)
     _emit("beta_star", sinrs.beta_star)
     _emit("gamma_star", sinrs.gamma_star)
     _emit("gamma_tilde", sinrs.gamma_tilde)

@@ -33,7 +33,8 @@ from ._version import VERSION
 from .channel import ChannelMode, ChannelProcess, draw_block
 from .efficiency import PacketSuccess, solve_all
 from .errors import NoFiniteT0Error, NoNashEquilibriumError, SaturatedRegimeError
-from .repeated import _bound_terms, _lambda_edge, _t0_edge, _t0_floor_edge, _t0_ratios, t0_bound
+from .repeated import (_bound_terms, _lambda_edge, _t0_edge, _t0_floor_edge, _t0_from_ratios,
+                       _t0_ratios, t0_bound)
 from .static_game import (
     ChannelState,
     NetworkConfig,
@@ -531,19 +532,21 @@ def fig5_t0_sweep(csv_path=None, out_dir=".", k: int = 35, m: int = 10,
     ratio = 10.0 ** (dynamics_db / 10.0)
     terms = (model, sinrs.beta_star, sinrs.gamma_tilde)
 
-    def at(scale: float, bound):
+    def ratios_at(scale: float):
         try:
-            return bound(_uniform_cfg(k, n, sigma2, p_max, scale, ratio), *terms)
+            return _t0_ratios(_uniform_cfg(k, n, sigma2, p_max, scale, ratio),
+                              *terms, 0)
         except NoFiniteT0Error:
             return None
 
-    t0s = [at(s, t0_bound) for s in scales]
+    # alike players share one ratio, so player 0's decides t0_bound
+    per_scale = [ratios_at(s) for s in scales]
+    t0s = [None if r is None else _t0_from_ratios(r) for r in per_scale]
     rows = [SweepRow(s, b, b is not None and abs(b - target) <= 1)
             for s, b in zip(scales, t0s)]
     # the real-valued ratio decreases in the scale, so the decades bracket
     # the target when some finite ratio reaches it and another falls short
-    finite = [r for r in (at(s, lambda *a: _t0_ratios(*a, 0)[0]) for s in scales)
-              if r is not None]
+    finite = [r[0] for r in per_scale if r]
     implied = None
     if any(r >= target for r in finite) and any(r < target for r in finite):
         implied = _t0_floor_edge(_uniform_cfg(k, n, sigma2, p_max, 1.0, ratio),

@@ -155,9 +155,12 @@ def _t0_ratios(cfg: NetworkConfig, model: EfficiencyModel, beta_star: float,
 
     The shared body of ``t0_bound`` and ``t0_bound_exact_deviation``: the
     efficiency terms are evaluated once per call, the punishment
-    interference once per player.
+    interference once per player.  Empty below two players: nobody to
+    deviate against.
     """
     k, n = cfg.k, cfg.n
+    if k < 2:
+        return []
     f_ne, phi_ne, phi_op = _bound_terms(model, k, n, beta_star, gamma_tilde)
     deviation_term = f_ne / beta_star
     if exact_deviation:
@@ -175,6 +178,11 @@ def _t0_ratios(cfg: NetworkConfig, model: EfficiencyModel, beta_star: float,
             )
         ratios.append(numerator / denominator)
     return ratios
+
+
+def _t0_from_ratios(ratios: list[float]) -> int:
+    """Endgame length from the players' ratios: the largest ceiling, at least 1."""
+    return max([1, *map(ceil, ratios)])
 
 
 def _t0_edge(cfg: NetworkConfig, model: EfficiencyModel, beta_star: float,
@@ -216,10 +224,7 @@ def t0_bound(cfg: NetworkConfig, model: EfficiencyModel, beta_star: float,
     deviation payoff by the interference-free maximum f(b)/b.  Network-wide
     (player=None) this is the max over players, the binding one.
     """
-    if cfg.k < 2:
-        return 1  # nobody to deviate against
-    ratios = _t0_ratios(cfg, model, beta_star, gamma_tilde, player)
-    return max(1, *map(ceil, ratios))
+    return _t0_from_ratios(_t0_ratios(cfg, model, beta_star, gamma_tilde, player))
 
 
 def t0_bound_exact_deviation(cfg: NetworkConfig, model: EfficiencyModel,
@@ -231,11 +236,8 @@ def t0_bound_exact_deviation(cfg: NetworkConfig, model: EfficiencyModel,
     response against the cooperative profile, f(b)/b * (1 - (k-1)*gt/n).
     Never larger than t0_bound.
     """
-    if cfg.k < 2:
-        return 1
-    ratios = _t0_ratios(cfg, model, beta_star, gamma_tilde, player,
-                        exact_deviation=True)
-    return max(1, *map(ceil, ratios))
+    return _t0_from_ratios(_t0_ratios(cfg, model, beta_star, gamma_tilde, player,
+                                      exact_deviation=True))
 
 
 def lambda_bound(cfg: NetworkConfig, model: EfficiencyModel, beta_star: float,

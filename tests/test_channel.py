@@ -1,14 +1,19 @@
 """Bounded-gain fading processes: determinism, truncation, distribution."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from powergame.channel import (
+    MIN_ACCEPTANCE,
     ChannelMode,
     ChannelProcess,
+    _truncated_exponential,
     acceptance_probability,
     draw,
     draw_block,
@@ -52,12 +57,92 @@ def test_stage_index_validation():
         draw(_process(), 0)
 
 
+def test_seeds_above_two_to_the_63_keep_their_own_streams():
+    # neighbouring seeds must not collapse onto one Philox key
+    a, b = _process(seed=2**63 + 1), _process(seed=2**63 + 2)
+    assert draw(a, 1).gains2 != draw(b, 1).gains2
+    assert not np.array_equal(draw_block(a, 8), draw_block(b, 8))
+    assert draw(_process(seed=2**64 - 1), 1).gains2 != draw(a, 1).gains2
+
+
 def test_player_streams_do_not_depend_on_network_size():
     # adding players must not disturb the gains of the existing ones
     small = _process(k=2, seed=9)
     large = _process(k=4, seed=9)
     for t in (1, 2, 7):
         assert draw(large, t).gains2[:2] == draw(small, t).gains2
+
+
+@pytest.mark.parametrize("mode", ["per_stage", "constant"])
+def test_engine_draws_are_addressable_by_stage(mode):
+    # stage t is output t-1 of the player's stream, however many stages follow
+    proc = ChannelProcess(mode=mode, mean_gain2=(1.0, 0.12, 3.0),
+                          eta_min=(0.1, 1.0, 2.0), eta_max=(10.0, 1.4, 2.0),
+                          seed=2**63 + 5)
+    seq = draw_sequence(proc, 23)
+    assert len(seq) == 23
+    for t in range(1, 24):
+        assert draw(proc, t).gains2 == seq[t - 1].gains2
+    assert draw_sequence(proc, 9) == seq[:9]
+
+
+def test_block_columns_do_not_depend_on_network_size():
+    small = draw_block(_process(k=2, seed=9), 300, substream=4)
+    large = draw_block(_process(k=4, seed=9), 300, substream=4)
+    np.testing.assert_array_equal(large[:, :2], small)
+    # column i is outputs [i*stages, (i+1)*stages) of the substream, whatever
+    # the laws of the columns before it
+    other = ChannelProcess(mode="per_stage", mean_gain2=(5.0, 1.0, 1.0, 1.0),
+                           eta_min=(2.0, 0.1, 0.1, 0.1),
+                           eta_max=(3.0, 10.0, 10.0, 10.0), seed=9)
+    np.testing.assert_array_equal(draw_block(other, 300, substream=4)[:, 1:],
+                                  large[:, 1:])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(log_mean=st.floats(-3.0, 3.0),
+       # near zero, around the MIN_ACCEPTANCE floor (-log(1e-6) = 13.8) and
+       # far enough out that exp(-lo/mean) underflows to 0
+       lo_over_mean=st.one_of(st.floats(1e-6, 20.0), st.floats(13.0, 14.5),
+                              st.floats(700.0, 800.0)),
+       # the width of [lo, hi] in units of the mean: degenerate, narrow, wide
+       width=st.one_of(st.just(0.0), st.floats(0.0, 1e-9), st.floats(0.0, 100.0)),
+       seed=st.integers(0, 2**64 - 1))
+def test_sampled_gains_stay_finite_inside_their_bounds(log_mean, lo_over_mean,
+                                                       width, seed):
+    mean = 10.0 ** log_mean
+    lo = mean * lo_over_mean
+    hi = lo + mean * width
+    # the transform itself holds on every band, including the uniform's ends
+    u = np.concatenate([[0.0, 0.5, 1.0 - 2.0**-53],
+                        np.random.default_rng(seed).random(61)])
+    x = _truncated_exponential(u, mean, lo, hi, math.expm1(-(hi - lo) / mean))
+    assert np.isfinite(x).all() and ((lo <= x) & (x <= hi)).all()
+    if lo == hi:
+        assert (x == lo).all()
+    # and it is the inverse CDF: against a 40-digit evaluation of
+    # lo - mean*ln(1 - u*(1 - exp(-(hi - lo)/mean))) at interior uniforms,
+    # where log1p amplifies the rounding of u*scale at most 1000-fold
+    with localcontext() as ctx:
+        ctx.prec = 40
+        d_mean, d_lo = Decimal(mean), Decimal(lo)
+        tail = -(Decimal(hi) - d_lo) / d_mean
+        for v in (0.001, 0.25, 0.5, 0.75, 0.999):
+            got = _truncated_exponential(np.array([v]), mean, lo, hi,
+                                         math.expm1(-(hi - lo) / mean))[0]
+            want = d_lo - d_mean * (1 - Decimal(v) * (1 - tail.exp())).ln()
+            assert abs(Decimal(got) - want) <= Decimal(2e-12 * mean + 4e-16 * got)
+
+    args = dict(mode="per_stage", mean_gain2=(mean,), eta_min=(lo,),
+                eta_max=(hi,), seed=seed)
+    if lo < hi and acceptance_probability(mean, lo, hi) < MIN_ACCEPTANCE:
+        with pytest.raises(ChannelConfigError, match="mass"):
+            ChannelProcess(**args)
+        return
+    proc = ChannelProcess(**args)
+    gains = np.concatenate([draw_block(proc, 64, substream=seed % 7)[:, 0],
+                            [s.gains2[0] for s in draw_sequence(proc, 8)]])
+    assert np.isfinite(gains).all() and ((lo <= gains) & (gains <= hi)).all()
 
 
 def test_truncated_exponential_distribution():
@@ -111,6 +196,22 @@ def test_config_validation():
     with pytest.raises(ChannelConfigError):
         ChannelProcess(mode="per_stage", mean_gain2=(1.0,), eta_min=(0.1, 0.2),
                        eta_max=(1.0,), seed=0)
+
+
+def test_infinite_gain_floor_or_mean_rejected():
+    # a floor at infinity is no gain; with eta_max = inf too, the band's
+    # width inf - inf is undefined
+    with pytest.raises(ChannelConfigError):
+        _process(lo=math.inf, hi=math.inf)
+    # an infinite mean leaves no law to sample, even on a degenerate band
+    # whose mass check is skipped (1e400 parses to inf)
+    with pytest.raises(ChannelConfigError):
+        _process(mean=float("1e400"), lo=2.0, hi=2.0)
+    with pytest.raises(ChannelConfigError):
+        _process(mean=math.inf)
+    unbounded = _process(k=1, lo=0.1, hi=math.inf, seed=4)  # no upper cut is fine
+    assert np.isfinite(draw_block(unbounded, 50)).all()
+    assert math.isfinite(draw(unbounded, 3).gains2[0])
 
 
 def test_from_config_broadcasts_the_mean():

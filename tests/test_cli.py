@@ -117,6 +117,15 @@ def test_no_equilibrium_exits_4():
     assert code == 4
 
 
+def test_solve_without_a_one_shot_equilibrium_exits_4():
+    # m=4 puts (k=2, n=2) past the one-shot load limit, where phi(beta_star)
+    # and delta have no meaning; `bounds` refuses the same load
+    code, out = _run(["solve", "--model", "pkt", "--m", "4", "--k", "2",
+                      "--n", "2"])
+    assert code == 4
+    assert "phi_beta_star" not in out and "delta" not in out
+
+
 def test_no_finite_horizon_exits_5(tmp_path):
     code, _ = _run(["bounds", "--scenario", _scenario(tmp_path),
                     "--set", "network.p_max=0.1"])
@@ -128,6 +137,16 @@ def test_vanishing_channel_mass_exits_6(tmp_path):
     doc["network"] = dict(doc["network"], eta_min=30.0, eta_max=60.0)
     doc["channel"] = {"mode": "constant", "mean_gain2": 1.0}
     code, _ = _run(["equilibria", "--scenario", _scenario(tmp_path, doc=doc)])
+    assert code == 6
+
+
+def test_infinite_channel_mean_exits_6(tmp_path):
+    # 1e400 parses to inf; on equal gain bounds it would have drawn NaN gains
+    doc = {k: v for k, v in EQUAL_BOUNDS.items() if k != "gains2"}
+    doc["network"] = dict(doc["network"], eta_min=2.0, eta_max=2.0)
+    doc["channel"] = {"mode": "constant", "mean_gain2": 1.0}
+    code, _ = _run(["equilibria", "--scenario", _scenario(tmp_path, doc=doc),
+                    "--set", "channel.mean_gain2=1e400"])
     assert code == 6
 
 
