@@ -24,7 +24,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +80,7 @@ def _default_path(out_dir, name: str) -> str:
 def _map_ordered(fn, items, workers: int):
     if workers <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor  # about 2 MB of RSS: import on use
     with ProcessPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(fn, items))
 

@@ -33,7 +33,11 @@ def _per_player(value, k: int, name: str) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    """Static description of the network: sizes, noise, caps and gain bounds."""
+    """Static description of the network: sizes, noise, caps and gain bounds.
+
+    sigma2, rates, p_max and eta_min must be positive and finite; eta_max may
+    be inf (no upper cut on the gains) but not NaN.
+    """
 
     k: int
     n: int
@@ -48,18 +52,17 @@ class NetworkConfig:
             raise ValueError("k must be a positive integer")
         if self.n < 1 or int(self.n) != self.n:
             raise ValueError("spreading factor n must be a positive integer")
-        if not self.sigma2 > 0.0:
-            raise ValueError("noise power sigma2 must be positive")
+        if not 0.0 < self.sigma2 < np.inf:
+            raise ValueError("noise power sigma2 must be positive and finite")
         object.__setattr__(self, "rates", _per_player(self.rates, self.k, "rates"))
         object.__setattr__(self, "p_max", _per_player(self.p_max, self.k, "p_max"))
         object.__setattr__(self, "eta_min", _per_player(self.eta_min, self.k, "eta_min"))
         object.__setattr__(self, "eta_max", _per_player(self.eta_max, self.k, "eta_max"))
-        for name in ("rates", "p_max", "eta_min", "eta_max"):
-            if any(v <= 0.0 for v in getattr(self, name)):
-                raise ValueError(f"{name} entries must be positive")
-        for lo, hi in zip(self.eta_min, self.eta_max):
-            if lo > hi:
-                raise ValueError("eta_min must not exceed eta_max")
+        for name in ("rates", "p_max", "eta_min"):
+            if not all(0.0 < v < np.inf for v in getattr(self, name)):
+                raise ValueError(f"{name} entries must be positive and finite")
+        if not all(lo <= hi for lo, hi in zip(self.eta_min, self.eta_max)):
+            raise ValueError("eta_max entries must not be NaN or below eta_min")
 
     @classmethod
     def uniform(cls, k, n, sigma2, rate, p_max, eta_min, eta_max) -> "NetworkConfig":
@@ -75,7 +78,7 @@ class ChannelState:
 
     def __post_init__(self):
         object.__setattr__(self, "gains2", tuple(float(g) for g in self.gains2))
-        if any(g <= 0.0 for g in self.gains2):
+        if not all(g > 0.0 for g in self.gains2):
             raise ValueError("squared gains must be positive")
 
 

@@ -167,6 +167,36 @@ def test_out_of_bounds_gains_exit_6(tmp_path):
     assert code == 0  # the bounds themselves are allowed
 
 
+@pytest.mark.parametrize("command, override", [
+    ("simulate", "network.rates=NaN"),      # ran with NaN utilities
+    ("equilibria", "network.p_max=NaN"),    # ignored the cap
+    ("bounds", "network.eta_min=NaN"),      # died on a float-to-int cast
+    ("equilibria", "network.sigma2=Infinity"),  # asked for inf W (exit 3)
+    ("simulate", "network.p_max=Infinity"),     # a max deviation sent inf W
+    ("bounds", "network.eta_max=NaN"),
+])
+def test_nonfinite_network_fields_exit_1(tmp_path, capsys, command, override):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    argv = [command, "--scenario", _scenario(tmp_path), "--set", override]
+    if command == "simulate":
+        argv += ["--plan", "frg", "--t", "6", "--t0", "2", "--deviate",
+                 "player=1,stage=3,power=max", "--out", str(out_dir / "trace.csv")]
+    code, out = _run(argv)
+    assert code == 1
+    assert out == {}
+    assert list(out_dir.iterdir()) == []
+    err = capsys.readouterr().err
+    assert "must be positive and finite" in err or "must not be NaN" in err
+
+
+def test_unbounded_gain_ceiling_keeps_its_typed_answers(tmp_path):
+    # eta_max = inf means no upper cut on the gains; the bounds answer it
+    code, _ = _run(["bounds", "--scenario", _scenario(tmp_path),
+                    "--set", "network.eta_max=Infinity"])
+    assert code == 5
+
+
 def test_degenerate_fig1_grid_exits_1(tmp_path, capsys):
     for option in ("hull_bins=1", "points_per_axis=1"):
         code, _ = _run(["experiment", "fig1", "--out-dir", str(tmp_path),

@@ -300,3 +300,66 @@ def test_characteristic_sinrs_validation():
     with pytest.raises(ValueError):
         # gamma_tilde must stay below n/(k-1)
         CharacteristicSinrs(beta_star=5.0, gamma_star=4.0, gamma_tilde=4.5, k=2, n=4)
+
+
+def _sinr_functions(model):
+    """Every function of the SINR, as (name, one-argument callable)."""
+    return [
+        ("value", model.value),
+        ("deriv1", model.deriv),
+        ("deriv2", lambda x: model.deriv(x, order=2)),
+        ("dlog", model.dlog),
+        ("curvature_ratio", model.curvature_ratio),
+        ("equal_action_utility", lambda x: equal_action_utility(model, x, 3, 16)),
+    ]
+
+
+def test_float_path_is_bitwise_the_0d_array_path():
+    # a float is evaluated as itself, a 0-d array through the array kernel;
+    # before the float path existed, floats went through the 0-d array
+    xs = 10.0 ** np.random.default_rng(8).uniform(-6.0, 3.0, size=20_000)
+    # 1e-170 and 5e-324: x * x underflows (the float path falls back);
+    # 1e-17 and 2**-60: exp(-x) rounds to 1; 800: exp(-x) underflows
+    xs = np.concatenate([xs, [1e-170, 5e-324, 1e-17, 2.0**-60, 1e-120, 800.0]])
+    for model, points in ((PacketSuccess(3), xs), (InfoTheoretic(1.3), xs),
+                          (PacketSuccess(50), xs[-2_000:])):
+        for name, fn in _sinr_functions(model):
+            with np.errstate(all="ignore"):
+                floats = np.array([fn(float(x)) for x in points])
+                arrays = np.array([fn(np.asarray(x)) for x in points])
+                assert floats.tobytes() == arrays.tobytes(), (model, name)
+                assert fn(np.float64(points[7])) == floats[7]
+                assert isinstance(fn(np.float64(points[7])), float)
+    for model in (PacketSuccess(3), InfoTheoretic(1.3)):
+        assert model.value(0.0) == model.value(np.asarray(0.0)) == 0.0
+
+
+def test_nan_sinr_is_outside_every_domain():
+    for model in (PacketSuccess(3), InfoTheoretic(1.0)):
+        for name, fn in _sinr_functions(model):
+            for x in (math.nan, np.float64(math.nan), np.array([1.0, math.nan])):
+                with pytest.raises(ValueError, match="SINR must be"):
+                    fn(x)
+
+
+def test_solve_gamma_tilde_bisects_only_its_root(monkeypatch):
+    # the single-crossing decision is a sign argument: no bisection on h
+    from powergame import efficiency
+
+    calls = []
+
+    def counting_bisect(fn, lo, hi, *args, **kwargs):
+        calls.append((lo, hi))
+        return bisect(fn, lo, hi, *args, **kwargs)
+
+    monkeypatch.setattr(efficiency, "bisect", counting_bisect)
+    for model in (PacketSuccess(10), InfoTheoretic(1.0)):
+        calls.clear()
+        x = solve_gamma_tilde(model, 5, 16)
+        assert len(calls) == 1
+        calls.clear()
+        assert solve_gamma_tilde(model, 5, 16, check=False) == x
+        assert len(calls) == 1
+        calls.clear()
+        ok, x0 = check_op_condition(model, 5, 16)
+        assert ok and x0 is not None and len(calls) == 1

@@ -71,6 +71,19 @@ def test_config_broadcasts_scalars_and_validates():
                       eta_min=1.0, eta_max=1.0)
 
 
+def test_config_fields_must_be_finite():
+    base = dict(k=2, n=1, sigma2=1.0, rates=1.0, p_max=1.0, eta_min=1.0, eta_max=2.0)
+    for name in ("sigma2", "rates", "p_max", "eta_min"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                NetworkConfig(**dict(base, **{name: bad}))
+    with pytest.raises(ValueError, match="NaN"):
+        NetworkConfig(**dict(base, eta_max=(2.0, math.nan)))
+    assert NetworkConfig(**dict(base, eta_max=math.inf)).eta_max == (math.inf,) * 2
+    with pytest.raises(ValueError):
+        ChannelState((1.0, math.nan))
+
+
 def test_profile_validation():
     with pytest.raises(ValueError):
         ChannelState((1.0, 0.0))
