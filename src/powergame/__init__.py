@@ -65,12 +65,10 @@ from .repeated import (
     averaged_utility_frg,
     best_deviation,
     delta_gain,
-    deviation_upper_bound,
     drg_truncation_horizon,
     history_at,
     lambda_bound,
     make_machines,
-    minmax_utility,
     rg_bounds,
     run_game,
     t0_bound,
@@ -84,7 +82,6 @@ from .static_game import (
     UtilityProfile,
     ne_action,
     ne_profile,
-    op_action,
     op_profile,
     pareto_dominates,
     public_signal,

@@ -147,8 +147,8 @@ class InfoTheoretic:
 
     @_sinr_formula(positive=False)
     def value(self, x):
-        with np.errstate(divide="ignore"):
-            return np.exp(-self.c / x)  # x = 0 maps to exp(-inf) = 0
+        with np.errstate(divide="ignore"):  # x = 0 maps to exp(-inf) = 0
+            return np.exp(-self.c / (x + 0.0))  # + 0.0 makes -0.0 into 0.0
 
     __call__ = value
 

@@ -37,10 +37,10 @@ from .repeated import (_bound_terms, _lambda_edge, _t0_edge, _t0_floor_edge, _t0
 from .static_game import (
     ChannelState,
     NetworkConfig,
+    _equal_action,
     _leader_margin,
     ne_action,
     ne_profile,
-    op_action,
     op_profile,
     sample_utility_region,
     se_profiles,
@@ -462,7 +462,7 @@ def fig5_frg_ratio_vs_t(csv_path=None, out_dir=".", k: int = 35, m: int = 10,
     limit = phi_op / phi_ne
     # stage welfare per unit gain: f(x)/a(x), proportional to phi(x)
     rate_ne = f_ne / ne_action(cfg, sinrs.beta_star)
-    rate_coop = model.value(sinrs.gamma_tilde) / op_action(cfg, sinrs.gamma_tilde)
+    rate_coop = model.value(sinrs.gamma_tilde) / _equal_action(cfg, sinrs.gamma_tilde)
 
     process = ChannelProcess(
         mode=ChannelMode.PER_STAGE, mean_gain2=(mean_gain2,) * k,

@@ -15,11 +15,16 @@ Both are evaluated exactly as stated, including the deviation payoff being
 bounded by the interference-free maximum; see ``t0_bound_exact_deviation``
 for the tighter diagnostic that uses the true best deviation instead.  Their
 closed-form inverses for alike players serve the experiment runners.
+
+``run_game`` plays a game as at most two batched passes over its (stages, k)
+gains: (a) the on-plan schedule up to the first detected stage t*, (b) the
+punish phase after it.  Detection runs only while cooperating and punishment
+is absorbing, so nothing after t* can change a phase.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from enum import Enum
 from math import ceil, floor, log
 
@@ -27,8 +32,8 @@ import numpy as np
 
 from .efficiency import EfficiencyModel, equal_action_utility
 from .errors import NoFiniteT0Error, PowerGameError, SaturatedRegimeError
-from .static_game import ChannelState, NetworkConfig, _stage_payoffs, ne_action, op_action
-from .static_game import _require_one_shot
+from .static_game import ChannelState, NetworkConfig, _equal_action, _require_one_shot
+from .static_game import _stage_payoffs, ne_action
 
 
 @dataclass(frozen=True)
@@ -300,27 +305,28 @@ class TriggerStrategy:
     caps: tuple[float, ...]
     expected_omega: float
     detection_tol: float = 1e-9
-    _caps: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_caps", np.asarray(self.caps, dtype=float))
-
-    def phase_at(self, t: int, punish_from: int | None = None) -> Phase:
-        if punish_from is not None and t >= punish_from:
-            return Phase.PUNISH
-        if isinstance(self.plan, FrgPlan) and t > self.plan.t_total - self.plan.t0:
-            return Phase.ENDGAME
-        return Phase.COOPERATE
+    def phases(self, stages: int, punish_from: int | None = None) -> list[Phase]:
+        """Phases of stages 1..stages: cooperate, endgame, then punish from punish_from."""
+        end = stages if punish_from is None else min(max(punish_from - 1, 0), stages)
+        coop = end
+        if isinstance(self.plan, FrgPlan):
+            coop = min(max(self.plan.t_total - self.plan.t0, 0), end)
+        return ([Phase.COOPERATE] * coop + [Phase.ENDGAME] * (end - coop)
+                + [Phase.PUNISH] * (stages - end))
 
     def powers(self, phase: Phase, gains2: np.ndarray) -> np.ndarray:
-        """Every player's prescribed power in this phase, given its own gain."""
+        """Prescribed powers in this phase over own gains, one stage (k,) or many (..., k)."""
         if phase is Phase.PUNISH and isinstance(self.plan, FrgPlan):
-            return self._caps.copy()
+            return np.broadcast_to(self.caps, np.shape(gains2)).copy()
         action = self.coop_action if phase is Phase.COOPERATE else self.ne_action
         return action / gains2
 
-    def deviation_seen(self, omega: float) -> bool:
-        """True when omega leaves its cooperative value by more than the tolerance."""
+    def deviation_seen(self, omega):
+        """True where omega leaves its cooperative value by more than the tolerance.
+
+        ``omega`` is one stage's public signal or an array of them.
+        """
         return abs(omega - self.expected_omega) > self.detection_tol * self.expected_omega
 
 
@@ -335,7 +341,7 @@ def make_machines(cfg: NetworkConfig, model: EfficiencyModel, plan: Plan,
     player's cap somewhere inside the gain bounds.
     """
     a_ne = ne_action(cfg, beta_star)
-    a_op = op_action(cfg, gamma_tilde)
+    a_op = _equal_action(cfg, gamma_tilde)
     expected_omega = cfg.sigma2 + cfg.k * a_op
     for i in range(cfg.k):
         need = max(a_ne, a_op) / cfg.eta_min[i]
@@ -347,21 +353,18 @@ def make_machines(cfg: NetworkConfig, model: EfficiencyModel, plan: Plan,
                            detection_tol)
 
 
-def deviation_upper_bound(model: EfficiencyModel, cfg: NetworkConfig,
-                          ch: ChannelState, player: int, beta_star: float) -> float:
-    """Interference-free ceiling on any one-stage payoff of this player."""
-    return (cfg.rates[player] * cfg.n * ch.gains2[player]
-            * model.value(beta_star) / (cfg.sigma2 * beta_star))
+def _best_responses(cfg: NetworkConfig, gains2: np.ndarray, powers: np.ndarray,
+                    player: int, beta_star: float):
+    """(power, interference, saturated) of `player`'s one-stage optimum in each stage (..., k).
 
-
-def minmax_utility(model: EfficiencyModel, cfg: NetworkConfig, ch: ChannelState,
-                   player: int, beta_star: float) -> float:
-    """Best payoff attainable while everyone else transmits at full power."""
-    interference = sum(
-        cfg.p_max[j] * ch.gains2[j] for j in range(cfg.k) if j != player
-    ) + cfg.sigma2
-    return (cfg.rates[player] * cfg.n * ch.gains2[player]
-            * model.value(beta_star) / (beta_star * interference))
+    The power targets SINR beta_star against row total - own + sigma2, or is the cap.
+    """
+    a = powers * gains2
+    interference = a.sum(axis=-1) - a[..., player] + cfg.sigma2
+    target = beta_star * interference / (cfg.n * gains2[..., player])
+    cap = cfg.p_max[player]
+    saturated = target > cap
+    return np.where(saturated, cap, target), interference, saturated
 
 
 def best_deviation(model: EfficiencyModel, cfg: NetworkConfig, ch: ChannelState,
@@ -373,16 +376,11 @@ def best_deviation(model: EfficiencyModel, cfg: NetworkConfig, ch: ChannelState,
     power vector whose entry for ``player`` is ignored.
     """
     p_other = np.asarray(getattr(others, "p", others), dtype=float)
-    g2 = np.asarray(ch.gains2)
-    interference = float((p_other * g2).sum() - p_other[player] * g2[player]
-                         + cfg.sigma2)
-    p_star = beta_star * interference / (cfg.n * g2[player])
-    if p_star > cfg.p_max[player]:
-        cap = cfg.p_max[player]
-        x = cfg.n * cap * g2[player] / interference
-        return BestDeviation(cap, cfg.rates[player] * model.value(x) / cap, True)
-    return BestDeviation(
-        p_star, cfg.rates[player] * model.value(beta_star) / p_star, False)
+    power, interference, saturated = _best_responses(
+        cfg, np.asarray(ch.gains2), p_other, player, beta_star)
+    power, saturated = float(power), bool(saturated)
+    x = cfg.n * power * ch.gains2[player] / float(interference) if saturated else beta_star
+    return BestDeviation(power, cfg.rates[player] * model.value(x) / power, saturated)
 
 
 def averaged_utility_frg(trace: list[StageRecord], player: int) -> float:
@@ -417,36 +415,55 @@ def history_at(trace: list[StageRecord], player: int, upto: int) -> GameHistory:
     )
 
 
-def _resolve_override(scenario: DeviationScenario, t: int, powers: np.ndarray,
-                      model, cfg, g2: np.ndarray, beta_star: float | None) -> float | None:
-    is_stage = t == scenario.stage
-    if not is_stage and not (scenario.best_response_after and t > scenario.stage):
-        return None
-    request = scenario.power if is_stage else "best_response"
-    if request == "max":
-        return cfg.p_max[scenario.player]
+def _scripted_power(scenario: DeviationScenario, request, cfg: NetworkConfig,
+                    beta_star: float | None) -> float | None:
+    """A scripted request as a wattage, or None for the best response."""
     if request == "best_response":
         if beta_star is None:
             raise ValueError("best_response scripts need beta_star")
-        ch = ChannelState(tuple(g2))
-        return best_deviation(model, cfg, ch, powers, scenario.player, beta_star).power
-    value = float(request)
-    if not 0.0 <= value <= cfg.p_max[scenario.player]:
-        raise ValueError(f"scripted power {value} outside [0, {cfg.p_max[scenario.player]}]")
+        return None
+    cap = cfg.p_max[scenario.player]
+    value = cap if request == "max" else float(request)
+    if not 0.0 <= value <= cap:
+        raise ValueError(f"scripted power {value} outside [0, {cap}]")
     return value
+
+
+def _scripted(scenario: DeviationScenario | None, cfg: NetworkConfig,
+              beta_star: float | None, gains2: np.ndarray, prescribed: np.ndarray) -> np.ndarray:
+    """The prescribed (stages, k) powers with the script's overrides.
+
+    A best response answers the prescription of its own stage.
+    """
+    powers = prescribed.copy()
+    if scenario is None:
+        return powers
+    i, s = scenario.player, scenario.stage - 1
+    fixed = _scripted_power(scenario, scenario.power, cfg, beta_star)
+    lo = s if fixed is None else s + 1  # rows lo..hi-1 best-respond
+    hi = len(powers) if scenario.best_response_after else s + 1
+    if lo < hi:
+        powers[lo:hi, i] = _best_responses(cfg, gains2[lo:hi], prescribed[lo:hi], i, beta_star)[0]
+    if fixed is not None:
+        powers[s, i] = fixed
+    return powers
 
 
 def run_game(model: EfficiencyModel, cfg: NetworkConfig,
              channels: list[ChannelState], strategy: TriggerStrategy,
              scenario: DeviationScenario | None = None,
              beta_star: float | None = None) -> list[StageRecord]:
-    """Step the stage game under the shared strategy, one record per stage.
+    """Play the stage game under the shared strategy, one record per stage.
 
     A player's power depends only on its own current gain and the phase, the
     phase only on the public signal, so the trace respects the game's
-    information structure by construction.  Raises SaturatedRegimeError when
-    the strategy prescribes more than a cap (a gain below the bounds it was
-    built for).
+    information structure by construction.  Pass (a) prescribes every stage
+    on-plan (cooperate, then endgame), applies the script, and finds the first
+    detected stage t* from one omega-only kernel call; pass (b) re-prescribes
+    the stages after t* in the punish phase and applies the script again.  One
+    more kernel call plays all stages.  Errors come from the first stage that
+    has one: SaturatedRegimeError for a prescription above a cap (a gain below
+    the strategy's bounds), or the script's ValueError for a bad request.
     """
     plan = strategy.plan
     if isinstance(plan, FrgPlan) and len(channels) > plan.t_total:
@@ -457,35 +474,49 @@ def run_game(model: EfficiencyModel, cfg: NetworkConfig,
             raise ValueError(f"scenario player {scenario.player} out of range")
         if not 1 <= scenario.stage <= len(channels):
             raise ValueError(f"scenario stage {scenario.stage} outside the horizon")
+        # the request at the stage, then with best_response_after at every later one
+        requests = [(scenario.stage, scenario.power, None)]
+        if scenario.best_response_after and scenario.stage < len(channels):
+            requests.append((scenario.stage + 1, "best_response",
+                             replace(scenario, best_response_after=False)))
+        for stage, request, valid in requests:
+            try:
+                _scripted_power(scenario, request, cfg, beta_star)
+                continue
+            except (TypeError, ValueError) as exc:
+                error = exc
+            # a bad request raises once the stages before it, and its cap check, pass
+            run_game(model, cfg, channels[:stage], strategy, valid, beta_star)
+            raise error
 
-    caps = strategy._caps
-    punish_from: int | None = None
-    records: list[StageRecord] = []
-    for t, state in enumerate(channels, start=1):
-        g2 = np.asarray(state.gains2)
-        phase = strategy.phase_at(t, punish_from)
-        powers = strategy.powers(phase, g2)
-        over = powers > caps
-        if over.any():
-            i = int(np.argmax(over))
-            raise SaturatedRegimeError(
-                f"stage {t}: strategy prescribes {powers[i]} W to player "
-                f"{i + 1}, above its cap {caps[i]} W")
-        if scenario is not None:
-            forced = _resolve_override(scenario, t, powers, model, cfg, g2, beta_star)
-            if forced is not None:
-                powers[scenario.player] = forced
-        sinrs, utils, omega = _stage_payoffs(model, cfg, g2, powers)
-        omega = float(omega)
-        detected = phase is Phase.COOPERATE and strategy.deviation_seen(omega)
-        if detected:
-            punish_from = t + 1
-        records.append(StageRecord(
-            t=t, gains2=tuple(map(float, g2)), powers=tuple(map(float, powers)),
-            sinrs=tuple(map(float, sinrs)), utilities=tuple(map(float, utils)),
-            omega=omega, phases=(phase.value,) * cfg.k,
-            deviation_detected=detected))
-    return records
+    stages = len(channels)
+    gains2 = np.array([state.gains2 for state in channels], dtype=float).reshape(stages, cfg.k)
+    schedule = strategy.phases(stages)
+    coop = schedule.count(Phase.COOPERATE)
+    prescribed = np.concatenate([strategy.powers(Phase.COOPERATE, gains2[:coop]),
+                                 strategy.powers(Phase.ENDGAME, gains2[coop:])])
+    powers = _scripted(scenario, cfg, beta_star, gains2, prescribed)
+    omega = _stage_payoffs(None, cfg, gains2[:coop], powers[:coop])[2]
+    seen = np.flatnonzero(strategy.deviation_seen(omega))
+    detected = int(seen[0]) + 1 if seen.size else None  # t*
+    if detected:
+        schedule = strategy.phases(stages, punish_from=detected + 1)
+        prescribed[detected:] = strategy.powers(Phase.PUNISH, gains2[detected:])
+        powers = _scripted(scenario, cfg, beta_star, gains2, prescribed)
+    over = prescribed > np.asarray(strategy.caps)
+    if over.any():
+        t, i = np.argwhere(over)[0]  # the first stage over a cap, its first player
+        raise SaturatedRegimeError(
+            f"stage {t + 1}: strategy prescribes {prescribed[t, i]} W to player "
+            f"{i + 1}, above its cap {strategy.caps[i]} W")
+
+    sinrs, utils, omegas = _stage_payoffs(model, cfg, gains2, powers)
+    labels = {phase: (phase.value,) * cfg.k for phase in Phase}
+    return list(map(StageRecord,  # positional, in field order
+                    range(1, stages + 1), (state.gains2 for state in channels),
+                    *(map(tuple, column.tolist()) for column in (powers, sinrs, utils)),
+                    omegas.tolist(), map(labels.get, schedule),
+                    (t == detected for t in range(1, stages + 1))))
 
 
 def trace_to_csv(path, trace: list[StageRecord]) -> None:

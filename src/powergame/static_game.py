@@ -78,8 +78,9 @@ class ChannelState:
 
     def __post_init__(self):
         object.__setattr__(self, "gains2", tuple(float(g) for g in self.gains2))
-        if not all(g > 0.0 for g in self.gains2):
-            raise ValueError("squared gains must be positive")
+        for g in self.gains2:
+            if not 0.0 < g < np.inf:
+                raise ValueError(f"squared gain {g} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -190,13 +191,9 @@ def ne_profile(cfg: NetworkConfig, ch: ChannelState, beta_star: float) -> PowerP
     return _actions_to_profile(cfg, ch, np.full(cfg.k, a), "equilibrium")
 
 
-def op_action(cfg: NetworkConfig, gamma_tilde: float) -> float:
-    return _equal_action(cfg, gamma_tilde)
-
-
 def op_profile(cfg: NetworkConfig, ch: ChannelState, gamma_tilde: float) -> PowerProfile:
     """Cooperative operating-point powers; every SINR equals gamma_tilde."""
-    a = op_action(cfg, gamma_tilde)
+    a = _equal_action(cfg, gamma_tilde)
     return _actions_to_profile(cfg, ch, np.full(cfg.k, a), "operating-point")
 
 

@@ -197,6 +197,24 @@ def test_unbounded_gain_ceiling_keeps_its_typed_answers(tmp_path):
     assert code == 5
 
 
+def test_infinite_explicit_gain_exits_1(tmp_path, capsys):
+    # with no upper cut an inf gain passed every check and died in the stage
+    # kernel as a NaN SINR ("SINR must be nonnegative")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    for command in ("equilibria", "simulate"):
+        argv = [command, "--scenario", _scenario(tmp_path), "--set",
+                "network.eta_max=Infinity", "--set", "gains2=[1e400, 1.0]"]
+        if command == "simulate":
+            argv += ["--plan", "frg", "--t", "4", "--t0", "1",
+                     "--out", str(out_dir / "trace.csv")]
+        code, out = _run(argv)
+        assert code == 1
+        assert out == {}
+        assert "squared gain inf must be positive and finite" in capsys.readouterr().err
+    assert list(out_dir.iterdir()) == []
+
+
 def test_degenerate_fig1_grid_exits_1(tmp_path, capsys):
     for option in ("hull_bins=1", "points_per_axis=1"):
         code, _ = _run(["experiment", "fig1", "--out-dir", str(tmp_path),

@@ -334,6 +334,16 @@ def test_float_path_is_bitwise_the_0d_array_path():
         assert model.value(0.0) == model.value(np.asarray(0.0)) == 0.0
 
 
+def test_signed_zero_sinr_is_zero_sinr():
+    # -0.0 passes the x >= 0 domain; exp(-c/-0.0) once gave inf, an efficiency above 1
+    for model in (PacketSuccess(2), InfoTheoretic(1.0), InfoTheoretic(0.3)):
+        for zero in (-0.0, np.float64(-0.0), np.asarray(-0.0)):
+            got = model.value(zero)
+            assert got == model.value(0.0) == 0.0 and not math.copysign(1.0, got) < 0.0
+        got = model.value(np.array([-0.0, 0.0, 0.5]))
+        assert got.tobytes() == model.value(np.array([0.0, 0.0, 0.5])).tobytes()
+
+
 def test_nan_sinr_is_outside_every_domain():
     for model in (PacketSuccess(3), InfoTheoretic(1.0)):
         for name, fn in _sinr_functions(model):

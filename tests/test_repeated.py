@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from powergame.channel import ChannelProcess, draw_block
+from powergame.channel import ChannelProcess, draw_block, draw_sequence
 from powergame.efficiency import (
     InfoTheoretic,
     PacketSuccess,
@@ -27,12 +27,10 @@ from powergame.repeated import (
     averaged_utility_frg,
     best_deviation,
     delta_gain,
-    deviation_upper_bound,
     drg_truncation_horizon,
     history_at,
     lambda_bound,
     make_machines,
-    minmax_utility,
     rg_bounds,
     run_game,
     t0_bound,
@@ -43,9 +41,9 @@ from powergame.static_game import (
     ChannelState,
     NetworkConfig,
     PowerProfile,
+    _equal_action,
     ne_action,
     ne_profile,
-    op_action,
     op_profile,
     public_signal,
     sinr_all,
@@ -206,8 +204,8 @@ def _strategy(plan, caps=(10.0,), tol=1e-9):
 
 def test_strategy_phase_schedule_and_actions():
     strategy = _strategy(FrgPlan(t_total=10, t0=3))
-    assert [strategy.phase_at(t) for t in range(1, 8)] == [Phase.COOPERATE] * 7
-    assert [strategy.phase_at(t) for t in (8, 9, 10)] == [Phase.ENDGAME] * 3
+    assert strategy.phases(10) == [Phase.COOPERATE] * 7 + [Phase.ENDGAME] * 3
+    assert strategy.phases(5) == [Phase.COOPERATE] * 5  # a shorter game: a prefix
     # each player's action over its own gain: cooperative, then one-shot
     gains2 = np.array([2.0, 0.5])
     assert strategy.powers(Phase.COOPERATE, gains2).tolist() == [0.25, 1.0]
@@ -222,7 +220,7 @@ def test_run_game_rejects_stages_beyond_the_horizon():
 
 def test_degenerate_plan_is_all_endgame():
     strategy = _strategy(FrgPlan(t_total=4, t0=9))
-    assert all(strategy.phase_at(t) is Phase.ENDGAME for t in range(1, 5))
+    assert strategy.phases(4) == [Phase.ENDGAME] * 4
 
 
 def test_detection_is_relative_absorbing_and_cooperation_only():
@@ -232,9 +230,10 @@ def test_detection_is_relative_absorbing_and_cooperation_only():
     assert strategy.deviation_seen(2.2)
     big = TriggerStrategy(FrgPlan(10, 2), 0.5, 1.0, (10.0,), expected_omega=2e6)
     assert not big.deviation_seen(2e6 + 1e-4)  # 5e-11 relative
-    assert strategy.phase_at(3, punish_from=4) is Phase.COOPERATE
-    assert strategy.phase_at(4, punish_from=4) is Phase.PUNISH
-    assert strategy.phase_at(9, punish_from=4) is Phase.PUNISH  # endgame too
+    # punishment from stage 4 on, through what would have been the endgame
+    assert strategy.phases(10, punish_from=4) == [Phase.COOPERATE] * 3 + [Phase.PUNISH] * 7
+    assert strategy.phases(10, punish_from=10) == (
+        [Phase.COOPERATE] * 8 + [Phase.ENDGAME] + [Phase.PUNISH])
     # finite-horizon punishment: full power whatever the gain
     assert strategy.powers(Phase.PUNISH, np.array([1.0])).tolist() == [10.0]
 
@@ -242,7 +241,7 @@ def test_detection_is_relative_absorbing_and_cooperation_only():
     trace = run_game(model, cfg, channels, strategy,
                      DeviationScenario(player=0, stage=2, power="max"))
     assert [r.deviation_detected for r in trace] == [False, True] + [False] * 6
-    expected = cfg.sigma2 + cfg.k * op_action(cfg, sinrs.gamma_tilde)
+    expected = cfg.sigma2 + cfg.k * _equal_action(cfg, sinrs.gamma_tilde)
     for rec in trace[2:]:
         # full-power play keeps omega far off its cooperative value, but a
         # punished stage is never flagged and never returns to cooperation
@@ -296,7 +295,7 @@ def _conforming_setup(t_total=8, t0=3, gains=(1.0, 0.8)):
 def test_conforming_trace_plays_cooperation_then_endgame():
     model, cfg, sinrs, plan, strategy, channels = _conforming_setup()
     trace = run_game(model, cfg, channels, strategy)
-    a_op = op_action(cfg, sinrs.gamma_tilde)
+    a_op = _equal_action(cfg, sinrs.gamma_tilde)
     a_ne = ne_action(cfg, sinrs.beta_star)
     for rec in trace:
         assert not rec.deviation_detected
@@ -344,7 +343,7 @@ def test_discounted_deviation_reverts_everyone_to_one_shot():
 def test_deviation_matching_the_cooperative_power_stays_invisible():
     # the public signal is all the strategy sees; a no-op override is undetectable
     model, cfg, sinrs, plan, strategy, channels = _conforming_setup()
-    coop_power = op_action(cfg, sinrs.gamma_tilde) / channels[0].gains2[0]
+    coop_power = _equal_action(cfg, sinrs.gamma_tilde) / channels[0].gains2[0]
     scen = DeviationScenario(player=0, stage=2, power=coop_power)
     trace = run_game(model, cfg, channels, strategy, scen)
     assert not any(rec.deviation_detected for rec in trace)
@@ -419,16 +418,19 @@ def test_best_deviation_saturates_at_the_cap():
 def test_minmax_is_the_best_response_to_full_power():
     model, cfg, sinrs = _equal_bounds_scenario()
     ch = ChannelState((1.1, 0.9))
+    b = sinrs.beta_star
     for i in range(2):
         full = np.asarray(cfg.p_max)
-        bd = best_deviation(model, cfg, ch, full, i, sinrs.beta_star)
+        bd = best_deviation(model, cfg, ch, full, i, b)
         assert not bd.saturated
-        np.testing.assert_allclose(
-            bd.utility, minmax_utility(model, cfg, ch, i, sinrs.beta_star),
-            rtol=1e-12)
-        # the interference-free ceiling sits above both
-        assert deviation_upper_bound(model, cfg, ch, i, sinrs.beta_star) \
-            >= bd.utility
+        # minmax: rate n g_i f(b) / (b (sum_{j != i} P_j g_j + sigma2))
+        interference = sum(cfg.p_max[j] * ch.gains2[j] for j in range(2) if j != i)
+        minmax = (cfg.rates[i] * cfg.n * ch.gains2[i] * model.value(b)
+                  / (b * (interference + cfg.sigma2)))
+        np.testing.assert_allclose(bd.utility, minmax, rtol=1e-12)
+        # the interference-free ceiling rate n g_i f(b) / (b sigma2) sits above both
+        ceiling = cfg.rates[i] * cfg.n * ch.gains2[i] * model.value(b) / (b * cfg.sigma2)
+        assert ceiling >= bd.utility
 
 
 def test_averaged_utilities():
@@ -507,7 +509,7 @@ def test_engine_totals_match_the_closed_form_stage_welfare():
     trace_ne = run_game(model, cfg, channels, base)
 
     rate_ne = model.value(sinrs.beta_star) / ne_action(cfg, sinrs.beta_star)
-    rate_coop = model.value(sinrs.gamma_tilde) / op_action(cfg, sinrs.gamma_tilde)
+    rate_coop = model.value(sinrs.gamma_tilde) / _equal_action(cfg, sinrs.gamma_tilde)
     totals = gains.sum(axis=1)
     window = t_total - t0
     for t in range(t_total):
@@ -567,3 +569,82 @@ def test_conforming_play_stays_under_the_caps_and_on_target(seed, drg):
         assert rec.omega == public_signal(cfg, ch, prof)
         if rec.phases[0] == "cooperate":
             np.testing.assert_allclose(rec.sinrs, sinrs.gamma_tilde, rtol=1e-12)
+
+
+def _guarantee_game(rng):
+    """A random enforceable network with t0_bound <= 50 and lambda_max >= 0.02.
+
+    High load, little gain spread and caps well above the equilibrium power
+    keep both bounds away from their degenerate ends; a fixed number of
+    tries keeps the search bounded.
+    """
+    for _ in range(100):
+        k = int(rng.integers(2, 5))
+        if rng.random() < 0.5:
+            model = PacketSuccess(int(rng.integers(2, 5)))
+        else:
+            model = InfoTheoretic(float(rng.uniform(0.3, 2.0)))
+        beta = solve_all(model, 1, 1).beta_star
+        n = int(math.ceil((k - 1) * beta / rng.uniform(0.6, 0.95)))
+        sinrs = solve_all(model, k, n)
+        eta_min = 10.0 ** rng.uniform(-1.0, 0.5, k)
+        sigma2 = float(10.0 ** rng.uniform(-3, 0))
+        need = sigma2 * sinrs.beta_star / (n - (k - 1) * sinrs.beta_star)
+        cfg = NetworkConfig(k=k, n=n, sigma2=sigma2, rates=tuple(rng.uniform(0.5, 2.0, k)),
+                            p_max=tuple(need / eta_min * 10.0 ** rng.uniform(0.5, 4.0, k)),
+                            eta_min=tuple(eta_min),
+                            eta_max=tuple(eta_min * rng.uniform(1.0, 1.3, k)))
+        try:
+            bounds = rg_bounds(cfg, model, sinrs.beta_star, sinrs.gamma_tilde)
+        except NoFiniteT0Error:
+            continue
+        if bounds.t0 <= 50 and bounds.lambda_max >= 0.02:
+            return model, cfg, sinrs, bounds
+    raise AssertionError("no enforceable network in 100 tries")
+
+
+def _guarantee_channels(rng, cfg, stages, fading):
+    """A constant gain draw, or a per-stage fading path, inside [eta_min, eta_max]."""
+    if not fading:
+        return [ChannelState(tuple(rng.uniform(cfg.eta_min, cfg.eta_max)))] * stages
+    process = ChannelProcess(mode="per_stage", mean_gain2=cfg.eta_min, eta_min=cfg.eta_min,
+                             eta_max=cfg.eta_max, seed=int(rng.integers(2**63)))
+    return draw_sequence(process, stages)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), drg=st.booleans(), fading=st.booleans(),
+       late=st.integers(6, 10**6))
+def test_no_one_stage_deviation_pays_at_the_bounds(seed, drg, fading, late):
+    rng = np.random.default_rng(seed)
+    model, cfg, sinrs, bounds = _guarantee_game(rng)
+    exact = t0_bound_exact_deviation(cfg, model, sinrs.beta_star, sinrs.gamma_tilde)
+    assert exact <= bounds.t0
+    if drg:
+        lam = 0.9 * bounds.lambda_max
+        plan, stages = DrgPlan(lam), drg_truncation_horizon(lam, tail=1e-10)
+        # every stage cooperates: the first five and one later stage
+        deviation_stages = [1, 2, 3, 4, 5, late % (stages // 2) + 1]
+    else:
+        plan = FrgPlan(t_total=bounds.t0 + 5, t0=bounds.t0)
+        stages = plan.t_total
+        deviation_stages = range(1, 6)  # every cooperating stage
+    channels = _guarantee_channels(rng, cfg, stages, fading)
+    strategy = make_machines(cfg, model, plan, sinrs.beta_star, sinrs.gamma_tilde)
+    conform = run_game(model, cfg, channels, strategy, beta_star=sinrs.beta_star)
+    for i in range(cfg.k):
+        for s in deviation_stages:
+            scen = DeviationScenario(player=i, stage=s, power="best_response",
+                                     best_response_after=True)
+            trace = run_game(model, cfg, channels, strategy, scen,
+                             beta_star=sinrs.beta_star)
+            assert trace[s - 1].deviation_detected
+            if drg:  # the continuation from stage s, both tails counted against it
+                base = averaged_utility_drg(conform[s - 1:], i, lam)
+                dev = averaged_utility_drg(trace[s - 1:], i, lam)
+                gain, scale = dev.value - (base.value + base.tail_bound
+                                           + dev.tail_bound), base.value
+            else:
+                scale = averaged_utility_frg(conform, i)
+                gain = averaged_utility_frg(trace, i) - scale
+            assert gain <= 1e-9 * max(1.0, abs(scale)), (i, s, gain)

@@ -18,7 +18,6 @@ from powergame.static_game import (
     _stage_payoffs,
     ne_action,
     ne_profile,
-    op_action,
     op_profile,
     pareto_dominates,
     public_signal,
