@@ -33,11 +33,12 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import math
 import os
 import sys
 
 from . import experiments
-from .channel import ChannelProcess, draw_sequence
+from .channel import ChannelMode, ChannelProcess, draw_sequence
 from .efficiency import (
     InfoTheoretic,
     PacketSuccess,
@@ -104,32 +105,52 @@ def _apply_overrides(doc: dict, pairs) -> dict:
     return doc
 
 
-def _load_scenario(path: str, overrides) -> dict:
-    with open(path) as fh:
-        doc = json.load(fh)
-    return _apply_overrides(doc, overrides)
+def _field(fields, name: str, kind, where: str):
+    """fields[name] converted by kind; a ValueError naming the field when it is
+    missing (or None) or has the wrong type."""
+    if not isinstance(fields, dict) or fields.get(name) is None:
+        raise ValueError(f"{where} needs {name}")
+    try:
+        return kind(fields[name])
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{where} field {name} cannot be {fields[name]!r}") from None
+
+
+def _reals(value):
+    """A per-player field: one number for everyone, or a list of numbers."""
+    return [float(v) for v in value] if isinstance(value, list) else float(value)
 
 
 def _build_model(fields: dict):
     family = fields.get("family")
+    where = f"model family {family!r}"
     if family == "pkt":
-        return PacketSuccess(int(fields["m"]))
+        return PacketSuccess(_field(fields, "m", int, where))
     if family == "exp":
-        if "c" in fields:
-            return InfoTheoretic.from_c(float(fields["c"]))
-        return InfoTheoretic(float(fields["rate"]))
+        if fields.get("c") is not None:
+            return InfoTheoretic.from_c(_field(fields, "c", float, where))
+        return InfoTheoretic(_field(fields, "rate", float, where))
     raise ValueError(f"unknown model family {family!r} (want 'pkt' or 'exp')")
 
 
 def _build_network(fields: dict) -> NetworkConfig:
-    return NetworkConfig(k=int(fields["k"]), n=int(fields["n"]),
-                         sigma2=float(fields["sigma2"]), rates=fields["rates"],
-                         p_max=fields["p_max"], eta_min=fields["eta_min"],
-                         eta_max=fields["eta_max"])
+    kinds = {"k": int, "n": int, "sigma2": float, "rates": _reals, "p_max": _reals,
+             "eta_min": _reals, "eta_max": _reals}
+    return NetworkConfig(**{name: _field(fields, name, kind, "network")
+                            for name, kind in kinds.items()})
+
+
+def _scenario(args):
+    """The scenario document with its overrides, its model, network and SINRs."""
+    with open(args.scenario) as fh:
+        doc = _apply_overrides(json.load(fh), args.set)
+    model = _build_model(_field(doc, "model", dict, "scenario"))
+    cfg = _build_network(_field(doc, "network", dict, "scenario"))
+    return doc, model, cfg, solve_all(model, cfg.k, cfg.n)
 
 
 def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
     env = os.environ.get("POWERGAME_SEED")
     if env is not None:
@@ -140,7 +161,8 @@ def _resolve_seed(args) -> int:
 def _gains(doc: dict, cfg: NetworkConfig, seed: int, stages: int):
     """Channel states for the run: explicit gains2, or drawn from the process."""
     if "gains2" in doc:
-        state = ChannelState(tuple(float(g) for g in doc["gains2"]))
+        state = ChannelState(_field(doc, "gains2", lambda g: [float(v) for v in g],
+                                    "scenario"))
         if len(state.gains2) != cfg.k:
             raise ValueError("gains2 must list one gain per player")
         for i, (g, lo, hi) in enumerate(zip(state.gains2, cfg.eta_min, cfg.eta_max)):
@@ -149,11 +171,12 @@ def _gains(doc: dict, cfg: NetworkConfig, seed: int, stages: int):
                     f"gains2 entry {g} of player {i + 1} lies outside its "
                     f"bounds [eta_min, eta_max] = [{lo}, {hi}]")
         return [state] * stages
-    chan = dict(doc.get("channel", {}))
-    chan.setdefault("mode", "constant")
-    mean = chan.get("mean_gain2", 1.0)
-    process = ChannelProcess.from_config(cfg, chan["mode"], mean_gain2=mean,
-                                         seed=chan.get("seed", seed))
+    chan = {"mode": "constant", "mean_gain2": 1.0, "seed": seed,
+            **_field({"channel": {}, **doc}, "channel", dict, "scenario")}
+    process = ChannelProcess.from_config(
+        cfg, _field(chan, "mode", ChannelMode, "channel"),
+        mean_gain2=_field(chan, "mean_gain2", _reals, "channel"),
+        seed=_field(chan, "seed", int, "channel"))
     return draw_sequence(process, stages)
 
 
@@ -166,28 +189,17 @@ def _parse_deviation(text: str) -> dict:
 
 
 def _build_deviation(fields: dict) -> DeviationScenario:
-    power = fields["power"]
-    if power not in ("max", "best_response"):
-        power = float(power)
+    power = _field(fields, "power",
+                   lambda p: p if p in ("max", "best_response") else float(p), "deviation")
     after = str(fields.get("best_response_after", "false")).lower()
     return DeviationScenario(
-        player=int(fields["player"]) - 1, stage=int(fields["stage"]),
-        power=power,
+        player=_field(fields, "player", int, "deviation") - 1,
+        stage=_field(fields, "stage", int, "deviation"), power=power,
         best_response_after=after in ("1", "true", "yes"))
 
 
 def cmd_solve(args) -> int:
-    if args.model == "pkt":
-        if args.m is None:
-            raise ValueError("--model pkt needs --m")
-        model = PacketSuccess(args.m)
-    else:
-        if args.c is not None:
-            model = InfoTheoretic.from_c(args.c)
-        elif args.rate is not None:
-            model = InfoTheoretic(args.rate)
-        else:
-            raise ValueError("--model exp needs --rate or --c")
+    model = _build_model({"family": args.model, "m": args.m, "rate": args.rate, "c": args.c})
     sinrs = solve_all(model, args.k, args.n)
     _, phi_ne, phi_op = _bound_terms(model, args.k, args.n, sinrs.beta_star,
                                      sinrs.gamma_tilde)
@@ -201,10 +213,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_equilibria(args) -> int:
-    doc = _load_scenario(args.scenario, args.set)
-    model = _build_model(doc["model"])
-    cfg = _build_network(doc["network"])
-    sinrs = solve_all(model, cfg.k, cfg.n)
+    doc, model, cfg, sinrs = _scenario(args)
     ch = _gains(doc, cfg, _resolve_seed(args), 1)[0]
     leader = args.leader - 1
 
@@ -224,10 +233,7 @@ def cmd_equilibria(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    doc = _load_scenario(args.scenario, args.set)
-    model = _build_model(doc["model"])
-    cfg = _build_network(doc["network"])
-    sinrs = solve_all(model, cfg.k, cfg.n)
+    _, model, cfg, sinrs = _scenario(args)
     bounds = rg_bounds(cfg, model, sinrs.beta_star, sinrs.gamma_tilde)
     _emit("t0", bounds.t0)
     _emit("lambda_max", bounds.lambda_max)
@@ -236,28 +242,20 @@ def cmd_bounds(args) -> int:
 
 
 def _build_plan(doc: dict, args):
-    plan_doc = dict(doc.get("plan", {}))
-    if args.plan is not None:
-        plan_doc["type"] = args.plan
-    if args.t is not None:
-        plan_doc["t_total"] = args.t
-    if args.t0 is not None:
-        plan_doc["t0"] = args.t0
-    if args.lam is not None:
-        plan_doc["lam"] = args.lam
+    flags = {"type": args.plan, "t_total": args.t, "t0": args.t0, "lam": args.lam}
+    plan_doc = {**_field({"plan": {}, **doc}, "plan", dict, "scenario"),
+                **{key: value for key, value in flags.items() if value is not None}}
     kind = plan_doc.get("type")
     if kind == "frg":
-        return FrgPlan(int(plan_doc["t_total"]), int(plan_doc["t0"]))
+        return FrgPlan(_field(plan_doc, "t_total", int, "plan"),
+                       _field(plan_doc, "t0", int, "plan"))
     if kind == "drg":
-        return DrgPlan(float(plan_doc["lam"]))
+        return DrgPlan(_field(plan_doc, "lam", float, "plan"))
     raise ValueError("plan type must be 'frg' or 'drg' (scenario or --plan)")
 
 
 def cmd_simulate(args) -> int:
-    doc = _load_scenario(args.scenario, args.set)
-    model = _build_model(doc["model"])
-    cfg = _build_network(doc["network"])
-    sinrs = solve_all(model, cfg.k, cfg.n)
+    doc, model, cfg, sinrs = _scenario(args)
     plan = _build_plan(doc, args)
     # the bound the plan needs, reported beside it; the run goes ahead anyway
     if isinstance(plan, FrgPlan):
@@ -272,14 +270,8 @@ def cmd_simulate(args) -> int:
         bound = lambda_bound(cfg, model, sinrs.beta_star, sinrs.gamma_tilde)
         report = ("lambda_max", bound, plan.lam <= bound)
 
-    scenario = None
-    dev_fields = None
-    if args.deviate:
-        dev_fields = _parse_deviation(args.deviate)
-    elif "deviation" in doc:
-        dev_fields = doc["deviation"]
-    if dev_fields is not None:
-        scenario = _build_deviation(dict(dev_fields))
+    dev_fields = _parse_deviation(args.deviate) if args.deviate else doc.get("deviation")
+    scenario = None if dev_fields is None else _build_deviation(dev_fields)
 
     strategy = make_machines(cfg, model, plan, sinrs.beta_star,
                              sinrs.gamma_tilde)
@@ -325,7 +317,11 @@ def cmd_experiment(args) -> int:
             raise ValueError(
                 f"unknown option {key!r} for {args.name}; valid: "
                 + ", ".join(sorted(params)))
-        kwargs[key] = _parse_value(raw)
+        value = kwargs[key] = _parse_value(raw)
+        # NaN is never an argument; +inf only as eta_max, no upper cut on the gains
+        if not all(math.isfinite(v) or (key, v) == ("eta_max", math.inf) for v in
+                   (value if isinstance(value, list) else [value]) if isinstance(v, float)):
+            raise ValueError(f"{args.name} needs finite numbers in {key}, got {raw}")
     if "workers" in params:
         kwargs.setdefault("workers", args.workers)
     if "seed" in params:
@@ -377,22 +373,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=1, help="spreading factor")
     p.set_defaults(fn=cmd_solve)
 
-    for name, fn, extra in (("equilibria", cmd_equilibria, "leader"),
-                            ("bounds", cmd_bounds, None)):
-        p = sub.add_parser(name)
+    for name, fn, about in (
+            ("equilibria", cmd_equilibria, {}), ("bounds", cmd_bounds, {}),
+            ("simulate", cmd_simulate, {"help": "run a repeated game, write the trace "
+                                                "CSV, report whether the plan is enforceable"})):
+        p = sub.add_parser(name, **about)
         p.add_argument("--scenario", required=True, help="scenario JSON path")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override dotted scenario keys")
         p.add_argument("--seed", type=int)
-        if extra == "leader":
+        p.set_defaults(fn=fn)
+        if name == "equilibria":
             p.add_argument("--leader", type=int, default=1,
                            help="1-based leader for the leader-follower point")
-        p.set_defaults(fn=fn)
-
-    p = sub.add_parser("simulate", help="run a repeated game, write the trace CSV, "
-                                        "report whether the plan is enforceable")
-    p.add_argument("--scenario", required=True)
-    p.add_argument("--set", action="append", metavar="KEY=VALUE")
+    # p is the simulate parser
     p.add_argument("--plan", choices=("frg", "drg"))
     p.add_argument("--t", type=int, help="finite horizon (frg)")
     p.add_argument("--t0", type=int, help="endgame length (frg)")
@@ -402,8 +396,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="force a deviation (power: watts, 'max', or "
                         "'best_response'; add best_response_after=true)")
     p.add_argument("--out", help="trace CSV path")
-    p.add_argument("--seed", type=int)
-    p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("experiment", help="regenerate a study as CSV")
     p.add_argument("name", choices=sorted(_EXPERIMENTS))
@@ -423,16 +415,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except PowerGameError as exc:
-        for err_type, code in _EXIT_BY_ERROR:
-            if isinstance(exc, err_type):
-                print(f"error: {exc}", file=sys.stderr)
-                return code
+    except (PowerGameError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next((code for err, code in _EXIT_BY_ERROR if isinstance(exc, err)), 1)
 
 
 def entry() -> None:

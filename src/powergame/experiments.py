@@ -14,7 +14,8 @@ Five canned studies over the power-control game:
 Every run is deterministic given (config, seed): CSV files open with a
 comment block recording the full config, the seed, and the package version,
 and reruns are byte-identical.  Monte Carlo replicas draw from per-replica
-RNG substreams, so results do not depend on --workers chunking.
+RNG substreams and map one replica per job, so results do not depend on
+--workers.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -37,11 +39,13 @@ from .repeated import (_bound_terms, _lambda_edge, _t0_edge, _t0_floor_edge, _t0
 from .static_game import (
     ChannelState,
     NetworkConfig,
+    UtilityProfile,
     _equal_action,
     _leader_margin,
     ne_action,
     ne_profile,
     op_profile,
+    pareto_dominates,
     sample_utility_region,
     se_profiles,
     utility,
@@ -82,7 +86,7 @@ def _map_ordered(fn, items, workers: int):
         return [fn(item) for item in items]
     from concurrent.futures import ProcessPoolExecutor  # about 2 MB of RSS: import on use
     with ProcessPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items))
+        return list(ex.map(fn, items, chunksize=-(-len(items) // workers)))
 
 
 def _mean_stderr(x: np.ndarray) -> tuple[float, float]:
@@ -198,9 +202,8 @@ def fig1_region(region_path=None, points_path=None, out_dir=".",
     step = tuple(pm / (points_per_axis - 1) for pm in cfg.p_max)
     op_p = np.asarray(pts[2].powers)
     cell_dist = float(np.max(np.abs(op_p - powers[best]) / np.asarray(step)))
-    ne_u = np.asarray(pts[0].utils_norm)
-    op_u = np.asarray(pts[2].utils_norm)
-    dominates = bool(np.all(op_u >= ne_u) and np.any(op_u > ne_u))
+    dominates = pareto_dominates(UtilityProfile(pts[2].utils_norm),
+                                 UtilityProfile(pts[0].utils_norm))
     ratio = _convexity_ratio(utils_norm, hull_bins)
     return Fig1Result(region_path, points_path, tuple(pts), step, cell_dist,
                       cell_dist <= 1.0 + 1e-9, dominates, ratio)
@@ -247,8 +250,7 @@ def _dynamics_sweep(csv_path, out_dir, name, x_name, config, grid, edge):
     csv_path = csv_path or _default_path(out_dir, name)
     _write_csv(csv_path, name, config, None,
                ["k", "n", x_name, "ratio_max", "dynamics_db", "admissible"],
-               [[r.k, r.n, r.x, r.ratio_max, r.dynamics_db, r.admissible]
-                for r in rows])
+               map(astuple, rows))
     return DynamicsResult(csv_path, tuple(rows))
 
 
@@ -314,17 +316,18 @@ def max_supported_players(model, n: int) -> int:
     return int(math.ceil(n / beta + 1.0)) - 1
 
 
-def _fig4_point(args):
-    (m, k, n, point_idx, replicas, seed, eta_min, eta_max, mean_gain2,
-     leader) = args
+def _fig4_point(indexed, n, replicas, seed, eta_min, eta_max, mean_gain2, leader):
+    """The Fig4Row of load point (m, k), drawn from substream point_idx, or an
+    (m, k, reason) skip past the one-shot or leader-follower load."""
+    point_idx, (m, k) = indexed
     model = PacketSuccess(m)
     try:
         sinrs = solve_all(model, k, n)
         beta, gamma, tilde = sinrs.beta_star, sinrs.gamma_star, sinrs.gamma_tilde
         _, c_ne, c_op = _bound_terms(model, k, n, beta, tilde)
         bn, gn, d = _leader_margin(k, n, beta, gamma)
-    except NoNashEquilibriumError as exc:  # past the one-shot or leader-follower load
-        return ("skip", m, k, str(exc))
+    except NoNashEquilibriumError as exc:
+        return m, k, str(exc)
     c_lead = d * model.value(gamma) / (gamma * (1.0 + bn))
     c_follow = d * model.value(beta) / (beta * (1.0 + gn))
 
@@ -338,8 +341,7 @@ def _fig4_point(args):
     se_gain = (c_lead * g2[:, leader] + c_follow * followers) / (c_ne * total) - 1.0
     op_mu, op_se = _mean_stderr(op_gain)
     se_mu, se_se = _mean_stderr(se_gain)
-    return ("row", Fig4Row(m, k, k / n, op_mu, op_se, se_mu, se_se,
-                           1.0 / beta + 1.0 / n))
+    return Fig4Row(m, k, k / n, op_mu, op_se, se_mu, se_se, 1.0 / beta + 1.0 / n)
 
 
 def fig4_welfare_vs_load(csv_path=None, out_dir=".", n: int = 128,
@@ -359,20 +361,12 @@ def fig4_welfare_vs_load(csv_path=None, out_dir=".", n: int = 128,
                    for m in m_values}
     else:  # JSON round-trips dict keys as strings
         k_grids = {int(m): list(ks) for m, ks in dict(k_grids).items()}
-    jobs = []
-    idx = 0
-    for m in m_values:
-        for k in k_grids[m]:
-            jobs.append((m, k, n, idx, replicas, seed, eta_min, eta_max,
-                         mean_gain2, leader))
-            idx += 1
-    results = _map_ordered(_fig4_point, jobs, workers)
-    rows, skipped = [], []
-    for res in results:
-        if res[0] == "row":
-            rows.append(res[1])
-        else:
-            skipped.append((res[1], res[2], res[3]))
+    point = partial(_fig4_point, n=n, replicas=replicas, seed=seed, eta_min=eta_min,
+                    eta_max=eta_max, mean_gain2=mean_gain2, leader=leader)
+    results = _map_ordered(point, list(enumerate((m, k) for m in m_values
+                                                 for k in k_grids[m])), workers)
+    rows = [r for r in results if isinstance(r, Fig4Row)]
+    skipped = [r for r in results if not isinstance(r, Fig4Row)]
 
     config = {"n": n, "m_values": list(m_values),
               "k_grids": {str(m): list(k_grids[m]) for m in m_values},
@@ -382,8 +376,7 @@ def fig4_welfare_vs_load(csv_path=None, out_dir=".", n: int = 128,
     _write_csv(csv_path, "fig4", config, seed,
                ["m", "k", "alpha", "op_gain_mean", "op_gain_stderr",
                 "se_gain_mean", "se_gain_stderr", "alpha_max"],
-               [[r.m, r.k, r.alpha, r.op_gain_mean, r.op_gain_stderr,
-                 r.se_gain_mean, r.se_gain_stderr, r.alpha_max] for r in rows])
+               map(astuple, rows))
     return Fig4Result(csv_path, tuple(rows), tuple(skipped))
 
 
@@ -409,28 +402,21 @@ class Fig5Result:
     limit_ratio: float
 
 
-def _fig5_chunk(args):
-    """Per-replica trajectory and closed-form ratios for one replica range.
+def _fig5_replica(j, process, t_grid, t0, rate_coop, rate_ne, phi_op, phi_ne):
+    """Trajectory and closed-form ratios of replica j at every horizon.
 
     The trajectory route accumulates stage welfare from powers and the
     efficiency values (the quantities the game engine would emit on-path);
     the closed-form route uses the equal-action utility factors.  They agree
     up to rounding and are both reported.
     """
-    (lo, hi, process, t_grid, t0, rate_coop, rate_ne, phi_op, phi_ne) = args
-    t_max = max(t_grid)
-    traj = np.empty((hi - lo, len(t_grid)))
-    form = np.empty((hi - lo, len(t_grid)))
-    for j in range(lo, hi):
-        g2 = draw_block(process, t_max, substream=j)
-        w = np.concatenate([[0.0], np.cumsum(g2.sum(axis=1))])
-        for col, t in enumerate(t_grid):
-            window = max(0, t - t0)
-            a = w[window]
-            b = w[t] - w[window]
-            traj[j - lo, col] = (rate_coop * a + rate_ne * b) / (rate_ne * (a + b))
-            form[j - lo, col] = (phi_op * a + phi_ne * b) / (phi_ne * (a + b))
-    return traj, form
+    t = np.asarray(t_grid)
+    g2 = draw_block(process, int(t.max()), substream=j)
+    w = np.concatenate([[0.0], np.cumsum(g2.sum(axis=1))])
+    a = w[np.maximum(0, t - t0)]
+    b = w[t] - a
+    return ((rate_coop * a + rate_ne * b) / (rate_ne * (a + b)),
+            (phi_op * a + phi_ne * b) / (phi_ne * (a + b)))
 
 
 def fig5_frg_ratio_vs_t(csv_path=None, out_dir=".", k: int = 35, m: int = 10,
@@ -464,17 +450,12 @@ def fig5_frg_ratio_vs_t(csv_path=None, out_dir=".", k: int = 35, m: int = 10,
     rate_ne = f_ne / ne_action(cfg, sinrs.beta_star)
     rate_coop = model.value(sinrs.gamma_tilde) / _equal_action(cfg, sinrs.gamma_tilde)
 
-    process = ChannelProcess(
-        mode=ChannelMode.PER_STAGE, mean_gain2=(mean_gain2,) * k,
-        eta_min=(eta_min,) * k, eta_max=(eta_max,) * k, seed=seed)
-    n_chunks = workers if workers > 1 else 1
-    bounds = np.linspace(0, replicas, n_chunks + 1).astype(int)
-    jobs = [(int(lo), int(hi), process, t_grid, t0, rate_coop, rate_ne,
-             phi_op, phi_ne) for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo]
-    parts = _map_ordered(_fig5_chunk, jobs, workers)
-    traj = np.vstack([p[0] for p in parts])
-    form = np.vstack([p[1] for p in parts])
+    process = ChannelProcess.from_config(cfg, ChannelMode.PER_STAGE,
+                                         mean_gain2=mean_gain2, seed=seed)
+    replica = partial(_fig5_replica, process=process, t_grid=t_grid, t0=t0,
+                      rate_coop=rate_coop, rate_ne=rate_ne, phi_op=phi_op, phi_ne=phi_ne)
+    traj, form = (np.array(routes) for routes in
+                  zip(*_map_ordered(replica, range(replicas), workers)))
 
     rows = []
     for col, t in enumerate(t_grid):
@@ -557,7 +538,6 @@ def fig5_t0_sweep(csv_path=None, out_dir=".", k: int = 35, m: int = 10,
               "target": target}
     csv_path = csv_path or _default_path(out_dir, "fig5_t0_sweep")
     _write_csv(csv_path, "fig5_t0_sweep", config, None,
-               ["eta_min", "t0", "matches_target"],
-               [[r.eta_min, r.t0, r.matches] for r in rows])
+               ["eta_min", "t0", "matches_target"], map(astuple, rows))
     return T0SweepResult(csv_path, tuple(rows), target,
                          any(r.matches for r in rows), implied)

@@ -9,6 +9,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powergame.cli import main
 
@@ -367,3 +369,101 @@ def test_module_entrypoint_smoke():
     assert proc.returncode == 0
     fields = dict(line.split("=") for line in proc.stdout.splitlines())
     np.testing.assert_allclose(float(fields["beta_star"]), 0.5, rtol=1e-12)
+
+
+SCRIPTED = dict(EQUAL_BOUNDS, plan={"type": "frg", "t_total": 6, "t0": 2},
+                deviation={"player": 1, "stage": 2, "power": "max"})
+
+
+@pytest.mark.parametrize("override, named", [
+    ("deviation.power=[1, 2]", "deviation field power"),
+    ('deviation.power={"a": 1}', "deviation field power"),
+    ("deviation.player=[1]", "deviation field player"),
+    ("network.k=[2]", "network field k"),
+    ("gains2=5", "scenario field gains2"),
+    ("model=3", "scenario field model"),
+    ('model={"family": "pkt"}', "model family 'pkt' needs m"),
+])
+def test_wrong_typed_scenario_fields_exit_1(tmp_path, capsys, override, named):
+    # each of these died with a raw TypeError, AttributeError or KeyError
+    out = tmp_path / "trace.csv"
+    code, res = _run(["simulate", "--scenario", _scenario(tmp_path, doc=SCRIPTED),
+                      "--set", override, "--out", str(out)])
+    assert code == 1
+    assert res == {}
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, override", [
+    ("fig2", "t_grid=[Infinity]"),   # a raw OverflowError from a float-to-int cast
+    ("fig2", "t_grid=[NaN]"),        # "cannot convert float NaN to integer"
+    ("fig5", "dynamics_db=NaN"),     # blamed eta_max, which nobody set
+    ("t0sweep", "dynamics_db=NaN"),
+])
+def test_nonfinite_runner_arguments_are_named(tmp_path, capsys, name, override):
+    code, res = _run(["experiment", name, "--out-dir", str(tmp_path),
+                      "--set", override])
+    assert code == 1
+    assert res == {}
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and override.partition("=")[0] in err
+    assert list(tmp_path.iterdir()) == []
+
+
+NETWORK_FIELDS = ("k", "n", "sigma2", "rates", "p_max", "eta_min", "eta_max")
+RUNNER_FLOATS = {
+    "fig1": ("sigma2", "p_max", "gains2", "rates"),
+    "fig2": ("sigma2", "p_max", "eta_min", "t_grid"),
+    "fig3": ("lambda_grid",),
+    "fig4": ("eta_min", "eta_max", "mean_gain2"),
+    "fig5": ("p_max", "sigma2", "dynamics_db", "eta_min", "mean_gain2", "t_multiples"),
+    "t0sweep": ("p_max", "sigma2", "dynamics_db", "scales"),
+}
+LISTED = {"gains2", "rates", "t_grid", "lambda_grid", "t_multiples", "scales"}
+PER_PLAYER = {"rates", "p_max", "eta_min", "eta_max"}
+SMALL_FIG4 = ["--replicas", "20", "--set", "n=16", "--set", "m_values=[10]",
+              "--set", 'k_grids={"10": [2]}']
+TARGETS = ([("network", f) for f in NETWORK_FIELDS] + [("gains2", None)]
+           + [(name, arg) for name, args in RUNNER_FLOATS.items() for arg in args])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(target=st.sampled_from(TARGETS),
+       bad=st.sampled_from(["NaN", "Infinity", "-Infinity"]),
+       listed=st.booleans(), slot=st.integers(0, 1))
+def test_nonfinite_input_exits_typed_and_writes_nothing(tmp_path_factory, target,
+                                                        bad, listed, slot):
+    tmp_path = tmp_path_factory.mktemp("nonfinite")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    where, name = target
+    value = bad
+    per_player = where == "network" and name in PER_PLAYER
+    if where == "gains2" or name in LISTED or listed and per_player:
+        value = ["1.0", "1.0"]
+        value[slot] = bad
+        value = f"[{', '.join(value)}]"
+    # eta_max = inf means no upper cut on the gains: bounds answers it with
+    # exit 5 and fig4 runs
+    unbounded = name == "eta_max" and bad == "Infinity"
+    if where in ("network", "gains2"):
+        key = "gains2" if where == "gains2" else f"network.{name}"
+        argv = ["simulate", "--scenario", _scenario(tmp_path, doc=SCRIPTED),
+                "--set", f"{key}={value}", "--out", str(out_dir / "trace.csv")]
+        if unbounded:
+            argv = ["bounds", *argv[1:-2]]
+    else:
+        argv = ["experiment", where, "--out-dir", str(out_dir), "--set",
+                f"{name}={value}"] + (SMALL_FIG4 if where == "fig4" else [])
+        if unbounded:
+            code, res = _run(argv)
+            assert code == 0 and res["rows"] == "1"
+            return
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, res = _run(argv)
+    assert code == 5 if unbounded else code in (1, 4, 5, 6)
+    assert res == {}
+    assert err.getvalue().startswith("error:")
+    assert list(out_dir.iterdir()) == []

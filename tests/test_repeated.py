@@ -648,3 +648,27 @@ def test_no_one_stage_deviation_pays_at_the_bounds(seed, drg, fading, late):
                 scale = averaged_utility_frg(conform, i)
                 gain = averaged_utility_frg(trace, i) - scale
             assert gain <= 1e-9 * max(1.0, abs(scale)), (i, s, gain)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_exact_endgame_holds_on_adversarial_paths(seed):
+    # the worst path for the exact variant: every gain at eta_min, except the
+    # deviator's at eta_max on its deviation stage
+    rng = np.random.default_rng(seed)
+    model, cfg, sinrs, _ = _guarantee_game(rng)
+    t0 = t0_bound_exact_deviation(cfg, model, sinrs.beta_star, sinrs.gamma_tilde)
+    plan = FrgPlan(t_total=t0 + 5, t0=t0)
+    strategy = make_machines(cfg, model, plan, sinrs.beta_star, sinrs.gamma_tilde)
+    for i in range(cfg.k):
+        for s in range(1, 6):  # every cooperating stage
+            gains2 = np.tile(cfg.eta_min, (plan.t_total, 1))
+            gains2[s - 1, i] = cfg.eta_max[i]
+            channels = [ChannelState(tuple(g)) for g in gains2]
+            scen = DeviationScenario(player=i, stage=s, power="best_response",
+                                     best_response_after=True)
+            scale = averaged_utility_frg(run_game(model, cfg, channels, strategy,
+                                                  beta_star=sinrs.beta_star), i)
+            gain = averaged_utility_frg(run_game(model, cfg, channels, strategy, scen,
+                                                 beta_star=sinrs.beta_star), i) - scale
+            assert gain <= 1e-9 * max(1.0, abs(scale)), (i, s, gain)
