@@ -138,7 +138,7 @@ def draw(process: ChannelProcess, t: int) -> ChannelState:
 
 def draw_sequence(process: ChannelProcess, stages: int) -> list[ChannelState]:
     """Gains for stages 1..stages.  Constant mode replays the stage-1 draw."""
-    states = [ChannelState(g) for g in zip(*_engine_gains(process, stages).tolist())]
+    states = ChannelState._from_block(_engine_gains(process, stages).T)
     return states * stages if process.mode is ChannelMode.CONSTANT else states
 
 

@@ -143,7 +143,10 @@ def _build_network(fields: dict) -> NetworkConfig:
 def _scenario(args):
     """The scenario document with its overrides, its model, network and SINRs."""
     with open(args.scenario) as fh:
-        doc = _apply_overrides(json.load(fh), args.set)
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("scenario must be a JSON object")
+    doc = _apply_overrides(doc, args.set)
     model = _build_model(_field(doc, "model", dict, "scenario"))
     cfg = _build_network(_field(doc, "network", dict, "scenario"))
     return doc, model, cfg, solve_all(model, cfg.k, cfg.n)
@@ -318,6 +321,13 @@ def cmd_experiment(args) -> int:
                 f"unknown option {key!r} for {args.name}; valid: "
                 + ", ".join(sorted(params)))
         value = kwargs[key] = _parse_value(raw)
+        # the runner's default says what the argument must be
+        default = params[key].default
+        want = ((list, "a list") if isinstance(default, tuple) else
+                (int, "an integer") if type(default) is int else
+                ((int, float), "a number") if type(default) is float else None)
+        if want and (isinstance(value, bool) or not isinstance(value, want[0])):
+            raise ValueError(f"{args.name} needs {want[1]} in {key}, got {raw}")
         # NaN is never an argument; +inf only as eta_max, no upper cut on the gains
         if not all(math.isfinite(v) or (key, v) == ("eta_max", math.inf) for v in
                    (value if isinstance(value, list) else [value]) if isinstance(v, float)):

@@ -64,7 +64,16 @@ def _cell(v):
     return v
 
 
+def _cells(rows):
+    return ([_cell(v) for v in row] for row in rows)
+
+
 def _write_csv(path, experiment: str, config: dict, seed, columns, rows) -> None:
+    """Comment header, column names, then the rows as csv writes them.
+
+    csv writes a Python float as its repr and None as an empty field; rows
+    holding bools or numpy scalars go through ``_cells`` first.
+    """
     with open(path, "w", newline="") as fh:
         fh.write(f"# experiment: {experiment}\n")
         fh.write(f"# config: {json.dumps(config, sort_keys=True)}\n")
@@ -72,8 +81,7 @@ def _write_csv(path, experiment: str, config: dict, seed, columns, rows) -> None
         fh.write(f"# version: {VERSION}\n")
         writer = csv.writer(fh)
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
+        writer.writerows(rows)
 
 
 def _default_path(out_dir, name: str) -> str:
@@ -168,9 +176,13 @@ def fig1_region(region_path=None, points_path=None, out_dir=".",
 
     powers, utils_norm = sample_utility_region(model, cfg, ch, points_per_axis)
     region_path = region_path or _default_path(out_dir, "fig1_region")
+    # the grid is row-major over two axes of points_per_axis powers each:
+    # format each axis once, and let csv write the utilities
+    p1, p2 = ([repr(p) for p in axis.tolist()] for axis in
+              (powers[::points_per_axis, 0], powers[:points_per_axis, 1]))
     _write_csv(region_path, "fig1_region", config, None,
                ["p1", "p2", "u1_norm", "u2_norm"],
-               np.column_stack([powers, utils_norm]).tolist())
+               zip([p for p in p1 for _ in p2], p2 * len(p1), *utils_norm.T.tolist()))
 
     g2 = np.asarray(gains2)
     best = int(np.argmax((utils_norm * g2).sum(axis=1)))
@@ -197,7 +209,7 @@ def fig1_region(region_path=None, points_path=None, out_dir=".",
     points_path = points_path or _default_path(out_dir, "fig1_points")
     _write_csv(points_path, "fig1_points", config, None,
                ["kind", "p1", "p2", "u1_norm", "u2_norm", "saturated"],
-               [[p.kind, *p.powers, *p.utils_norm, p.saturated] for p in pts])
+               _cells([p.kind, *p.powers, *p.utils_norm, p.saturated] for p in pts))
 
     step = tuple(pm / (points_per_axis - 1) for pm in cfg.p_max)
     op_p = np.asarray(pts[2].powers)
@@ -250,7 +262,7 @@ def _dynamics_sweep(csv_path, out_dir, name, x_name, config, grid, edge):
     csv_path = csv_path or _default_path(out_dir, name)
     _write_csv(csv_path, name, config, None,
                ["k", "n", x_name, "ratio_max", "dynamics_db", "admissible"],
-               map(astuple, rows))
+               _cells(map(astuple, rows)))
     return DynamicsResult(csv_path, tuple(rows))
 
 
@@ -376,7 +388,7 @@ def fig4_welfare_vs_load(csv_path=None, out_dir=".", n: int = 128,
     _write_csv(csv_path, "fig4", config, seed,
                ["m", "k", "alpha", "op_gain_mean", "op_gain_stderr",
                 "se_gain_mean", "se_gain_stderr", "alpha_max"],
-               map(astuple, rows))
+               _cells(map(astuple, rows)))
     return Fig4Result(csv_path, tuple(rows), tuple(skipped))
 
 
@@ -471,9 +483,9 @@ def fig5_frg_ratio_vs_t(csv_path=None, out_dir=".", k: int = 35, m: int = 10,
     _write_csv(csv_path, "fig5", config, seed,
                ["t", "t0", "cooperation_stages", "no_window", "ratio_mean",
                 "ratio_stderr", "formula_ratio_mean", "limit_ratio"],
-               [[r.t, t0, r.cooperation_stages, r.no_window, r.ratio_mean,
-                 r.ratio_stderr, r.formula_ratio_mean, r.limit_ratio]
-                for r in rows])
+               _cells([r.t, t0, r.cooperation_stages, r.no_window, r.ratio_mean,
+                       r.ratio_stderr, r.formula_ratio_mean, r.limit_ratio]
+                      for r in rows))
     return Fig5Result(csv_path, tuple(rows), t0, limit)
 
 
@@ -538,6 +550,6 @@ def fig5_t0_sweep(csv_path=None, out_dir=".", k: int = 35, m: int = 10,
               "target": target}
     csv_path = csv_path or _default_path(out_dir, "fig5_t0_sweep")
     _write_csv(csv_path, "fig5_t0_sweep", config, None,
-               ["eta_min", "t0", "matches_target"], map(astuple, rows))
+               ["eta_min", "t0", "matches_target"], _cells(map(astuple, rows)))
     return T0SweepResult(csv_path, tuple(rows), target,
                          any(r.matches for r in rows), implied)

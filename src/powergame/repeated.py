@@ -24,7 +24,7 @@ is absorbing, so nothing after t* can change a phase.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from math import ceil, floor, log
 
@@ -89,6 +89,8 @@ class GameHistory:
 
 @dataclass(frozen=True)
 class StageRecord:
+    # run_game fills the instance __dict__ by field name, as the generated
+    # __init__ would: exact only while there is no __post_init__
     t: int
     gains2: tuple[float, ...]
     powers: tuple[float, ...]
@@ -97,6 +99,9 @@ class StageRecord:
     omega: float
     phases: tuple[str, ...]
     deviation_detected: bool
+
+
+_RECORD_FIELDS = tuple(f.name for f in fields(StageRecord))
 
 
 @dataclass(frozen=True)
@@ -512,11 +517,18 @@ def run_game(model: EfficiencyModel, cfg: NetworkConfig,
 
     sinrs, utils, omegas = _stage_payoffs(model, cfg, gains2, powers)
     labels = {phase: (phase.value,) * cfg.k for phase in Phase}
-    return list(map(StageRecord,  # positional, in field order
-                    range(1, stages + 1), (state.gains2 for state in channels),
-                    *(map(tuple, column.tolist()) for column in (powers, sinrs, utils)),
-                    omegas.tolist(), map(labels.get, schedule),
-                    (t == detected for t in range(1, stages + 1))))
+    columns = {"t": range(1, stages + 1), "gains2": (state.gains2 for state in channels),
+               "powers": zip(*powers.T.tolist()), "sinrs": zip(*sinrs.T.tolist()),
+               "utilities": zip(*utils.T.tolist()), "omega": omegas.tolist(),
+               "phases": map(labels.get, schedule),
+               "deviation_detected": (t == detected for t in range(1, stages + 1))}
+    new = object.__new__
+    trace = [new(StageRecord) for _ in range(stages)]
+    fills = [record.__dict__ for record in trace]
+    for name in _RECORD_FIELDS:  # the order the generated __init__ stores them in
+        for fill, value in zip(fills, columns[name]):
+            fill[name] = value
+    return trace
 
 
 def trace_to_csv(path, trace: list[StageRecord]) -> None:

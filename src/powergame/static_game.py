@@ -82,6 +82,24 @@ class ChannelState:
             if not 0.0 < g < np.inf:
                 raise ValueError(f"squared gain {g} must be positive and finite")
 
+    @classmethod
+    def _from_block(cls, block: np.ndarray) -> list["ChannelState"]:
+        """One state per row of a (stages, k) float block, checked in one pass.
+
+        Stores what ``__post_init__`` stores, a tuple of Python floats, and
+        raises its ValueError for the first bad gain in row order.
+        """
+        bad = ~((block > 0.0) & (block < np.inf))
+        if bad.any():
+            cls(block[np.argwhere(bad)[0][0]].tolist())  # raises for that gain
+        new = object.__new__
+        states = []
+        for row in zip(*block.T.tolist()):
+            state = new(cls)
+            state.__dict__["gains2"] = row
+            states.append(state)
+        return states
+
 
 @dataclass(frozen=True)
 class PowerProfile:

@@ -411,6 +411,31 @@ def test_nonfinite_runner_arguments_are_named(tmp_path, capsys, name, override):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("name, override", [
+    ("fig4", "replicas=2.5"),         # each of these raised a raw TypeError
+    ("fig4", "eta_max=[1.0, 2.0]"),
+    ("fig2", 'sigma2="x"'),
+    ("fig4", "replicas=true"),
+    ("fig1", "gains2=1.0"),
+])
+def test_wrong_typed_runner_arguments_are_named(tmp_path, capsys, name, override):
+    code, res = _run(["experiment", name, "--out-dir", str(tmp_path),
+                      "--set", override])
+    assert code == 1
+    assert res == {}
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and override.partition("=")[0] in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_scenario_that_is_not_an_object_exits_1(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1]")
+    code, res = _run(["bounds", "--scenario", str(path), "--set", "a=1"])
+    assert (code, res) == (1, {})
+    assert capsys.readouterr().err == "error: scenario must be a JSON object\n"
+
+
 NETWORK_FIELDS = ("k", "n", "sigma2", "rates", "p_max", "eta_min", "eta_max")
 RUNNER_FLOATS = {
     "fig1": ("sigma2", "p_max", "gains2", "rates"),
