@@ -21,7 +21,8 @@ values parse as JSON, falling back to plain strings.  Players are 1-based on
 the command line and in all emitted files.
 
 Seed precedence: ``--seed`` flag, then the POWERGAME_SEED environment
-variable, then the documented default 1729.
+variable, then the documented default 1729.  In ``experiment``, ``--set``
+wins over every flag for the same runner argument, ``--set seed=`` included.
 
 Exit codes: 0 success; 1 other error; 2 usage; 3 saturated regime;
 4 no one-shot equilibrium; 5 no finite cooperation horizon; 6 bad channel
@@ -332,15 +333,13 @@ def cmd_experiment(args) -> int:
         if not all(math.isfinite(v) or (key, v) == ("eta_max", math.inf) for v in
                    (value if isinstance(value, list) else [value]) if isinstance(v, float)):
             raise ValueError(f"{args.name} needs finite numbers in {key}, got {raw}")
-    if "workers" in params:
-        kwargs.setdefault("workers", args.workers)
-    if "seed" in params:
-        kwargs.setdefault("seed", _resolve_seed(args))
-    if "replicas" in params and args.replicas is not None:
-        kwargs["replicas"] = args.replicas
-    if args.out is not None:
-        kwargs["csv_path" if "csv_path" in params else "region_path"] = args.out
-    kwargs.setdefault("out_dir", args.out_dir)
+    # --set names the argument and wins; a flag fills in only what it left unset
+    flags = {"workers": args.workers, "replicas": args.replicas, "out_dir": args.out_dir,
+             "csv_path" if "csv_path" in params else "region_path": args.out,
+             "seed": _resolve_seed}
+    for key, flag in flags.items():
+        if key in params and key not in kwargs and flag is not None:
+            kwargs[key] = flag(args) if callable(flag) else flag
 
     result = runner(**kwargs)
     if args.name == "fig1":

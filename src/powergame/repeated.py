@@ -24,7 +24,7 @@ is absorbing, so nothing after t* can change a phase.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from enum import Enum
 from math import ceil, floor, log
 
@@ -224,29 +224,28 @@ def _t0_floor_edge(cfg: NetworkConfig, model: EfficiencyModel, beta_star: float,
 
 
 def t0_bound(cfg: NetworkConfig, model: EfficiencyModel, beta_star: float,
-             gamma_tilde: float, player: int | None = None) -> int:
+             gamma_tilde: float) -> int:
     """Endgame length making every one-stage deviation unprofitable.
 
     Per player: ceil of
       (eta_max f(b)/b - eta_min phi(gt)) /
       (eta_min phi(b) - eta_max f(b) / (b (sum_{j!=i} P_j_max eta_j_min + sigma2)))
     with phi the equal-action utility factor.  The numerator bounds the
-    deviation payoff by the interference-free maximum f(b)/b.  Network-wide
-    (player=None) this is the max over players, the binding one.
+    deviation payoff by the interference-free maximum f(b)/b.  This is the
+    max over players, the binding one.
     """
-    return _t0_from_ratios(_t0_ratios(cfg, model, beta_star, gamma_tilde, player))
+    return _t0_from_ratios(_t0_ratios(cfg, model, beta_star, gamma_tilde, None))
 
 
 def t0_bound_exact_deviation(cfg: NetworkConfig, model: EfficiencyModel,
-                             beta_star: float, gamma_tilde: float,
-                             player: int | None = None) -> int:
+                             beta_star: float, gamma_tilde: float) -> int:
     """Diagnostic variant of t0_bound with the exact one-stage deviation payoff.
 
     Replaces the interference-free bound f(b)/b by the utility of the best
     response against the cooperative profile, f(b)/b * (1 - (k-1)*gt/n).
     Never larger than t0_bound.
     """
-    return _t0_from_ratios(_t0_ratios(cfg, model, beta_star, gamma_tilde, player,
+    return _t0_from_ratios(_t0_ratios(cfg, model, beta_star, gamma_tilde, None,
                                       exact_deviation=True))
 
 
@@ -336,8 +335,7 @@ class TriggerStrategy:
 
 
 def make_machines(cfg: NetworkConfig, model: EfficiencyModel, plan: Plan,
-                  beta_star: float, gamma_tilde: float,
-                  detection_tol: float = 1e-9) -> TriggerStrategy:
+                  beta_star: float, gamma_tilde: float) -> TriggerStrategy:
     """Build the trigger strategy that every player shares.
 
     The cooperative public-signal value is computed from the profile itself
@@ -354,8 +352,7 @@ def make_machines(cfg: NetworkConfig, model: EfficiencyModel, plan: Plan,
             raise SaturatedRegimeError(
                 f"plan needs up to {need} W from player {i + 1}, cap {cfg.p_max[i]} W"
             )
-    return TriggerStrategy(plan, a_op, a_ne, cfg.p_max, expected_omega,
-                           detection_tol)
+    return TriggerStrategy(plan, a_op, a_ne, cfg.p_max, expected_omega)
 
 
 def _best_responses(cfg: NetworkConfig, gains2: np.ndarray, powers: np.ndarray,
@@ -395,12 +392,12 @@ def averaged_utility_frg(trace: list[StageRecord], player: int) -> float:
     return float(np.mean([r.utilities[player] for r in trace]))
 
 
-def averaged_utility_drg(trace: list[StageRecord], player: int, lam: float,
-                         u_max: float | None = None) -> DiscountedAverage:
+def averaged_utility_drg(trace: list[StageRecord], player: int,
+                         lam: float) -> DiscountedAverage:
     """Expected-stopping average sum_t lam*(1-lam)^(t-1) u_i(t) over the trace.
 
-    The reported tail bound is (1-lam)^T times ``u_max`` (the max observed
-    stage utility when not given), bounding the mass truncated at T stages.
+    The reported tail bound is (1-lam)^T times the max observed stage
+    utility, bounding the mass truncated at T stages.
     """
     if not trace:
         raise ValueError("empty trace")
@@ -408,8 +405,7 @@ def averaged_utility_drg(trace: list[StageRecord], player: int, lam: float,
         raise ValueError("lam must lie in (0, 1)")
     u = np.array([r.utilities[player] for r in trace])
     weights = lam * (1.0 - lam) ** np.arange(len(u))
-    cap = float(u.max()) if u_max is None else u_max
-    return DiscountedAverage(float(weights @ u), (1.0 - lam) ** len(u) * cap)
+    return DiscountedAverage(float(weights @ u), (1.0 - lam) ** len(u) * float(u.max()))
 
 
 def history_at(trace: list[StageRecord], player: int, upto: int) -> GameHistory:
@@ -420,33 +416,48 @@ def history_at(trace: list[StageRecord], player: int, upto: int) -> GameHistory:
     )
 
 
-def _scripted_power(scenario: DeviationScenario, request, cfg: NetworkConfig,
-                    beta_star: float | None) -> float | None:
-    """A scripted request as a wattage, or None for the best response."""
-    if request == "best_response":
-        if beta_star is None:
-            raise ValueError("best_response scripts need beta_star")
-        return None
-    cap = cfg.p_max[scenario.player]
-    value = cap if request == "max" else float(request)
-    if not 0.0 <= value <= cap:
-        raise ValueError(f"scripted power {value} outside [0, {cap}]")
-    return value
+def _script(scenario: DeviationScenario | None, cfg: NetworkConfig,
+            beta_star: float | None, stages: int):
+    """The script read once: ((player, row, fixed, lo, hi), last, error).
+
+    The override sets ``fixed`` watts (None: a best response) at ``row`` and
+    best-responds in rows lo..hi-1 of the player's column.  ``error`` is the
+    bad request's exception, due at stage ``last``; the override then stops
+    before that stage.  Out-of-range players and stages raise here.
+    """
+    if scenario is None:
+        return (0, 0, None, 0, 0), stages, None
+    i, s = scenario.player, scenario.stage - 1
+    if not 0 <= i < cfg.k:
+        raise ValueError(f"scenario player {i} out of range")
+    if not 1 <= scenario.stage <= stages:
+        raise ValueError(f"scenario stage {scenario.stage} outside the horizon")
+    fixed, lo, error = None, s, None
+    if scenario.power != "best_response":
+        cap = cfg.p_max[i]
+        try:
+            watts = cap if scenario.power == "max" else float(scenario.power)
+            if not 0.0 <= watts <= cap:
+                raise ValueError(f"scripted power {watts} outside [0, {cap}]")
+            fixed, lo = watts, s + 1
+        except (TypeError, ValueError) as exc:
+            error = exc
+    hi = stages if scenario.best_response_after else s + 1
+    if error is None and lo < hi and beta_star is None:
+        error = ValueError("best_response scripts need beta_star")
+    if error is not None:  # row lo is the failing stage
+        return (i, s, fixed, lo, lo), lo + 1, error
+    return (i, s, fixed, lo, hi), stages, None
 
 
-def _scripted(scenario: DeviationScenario | None, cfg: NetworkConfig,
-              beta_star: float | None, gains2: np.ndarray, prescribed: np.ndarray) -> np.ndarray:
-    """The prescribed (stages, k) powers with the script's overrides.
+def _scripted(override, cfg: NetworkConfig, beta_star: float | None,
+              gains2: np.ndarray, prescribed: np.ndarray) -> np.ndarray:
+    """The prescribed (stages, k) powers with the script's override.
 
     A best response answers the prescription of its own stage.
     """
+    i, s, fixed, lo, hi = override
     powers = prescribed.copy()
-    if scenario is None:
-        return powers
-    i, s = scenario.player, scenario.stage - 1
-    fixed = _scripted_power(scenario, scenario.power, cfg, beta_star)
-    lo = s if fixed is None else s + 1  # rows lo..hi-1 best-respond
-    hi = len(powers) if scenario.best_response_after else s + 1
     if lo < hi:
         powers[lo:hi, i] = _best_responses(cfg, gains2[lo:hi], prescribed[lo:hi], i, beta_star)[0]
     if fixed is not None:
@@ -468,31 +479,15 @@ def run_game(model: EfficiencyModel, cfg: NetworkConfig,
     the stages after t* in the punish phase and applies the script again.  One
     more kernel call plays all stages.  Errors come from the first stage that
     has one: SaturatedRegimeError for a prescription above a cap (a gain below
-    the strategy's bounds), or the script's ValueError for a bad request.
+    the strategy's bounds), or the script's ValueError for a bad request.  A
+    bad request's stage bounds the cap check; the stages before it play as
+    they would alone, since nothing in a stage depends on a later one.
     """
     plan = strategy.plan
     if isinstance(plan, FrgPlan) and len(channels) > plan.t_total:
         raise ValueError(
             f"stage {plan.t_total + 1} beyond the {plan.t_total}-stage horizon")
-    if scenario is not None:
-        if not 0 <= scenario.player < cfg.k:
-            raise ValueError(f"scenario player {scenario.player} out of range")
-        if not 1 <= scenario.stage <= len(channels):
-            raise ValueError(f"scenario stage {scenario.stage} outside the horizon")
-        # the request at the stage, then with best_response_after at every later one
-        requests = [(scenario.stage, scenario.power, None)]
-        if scenario.best_response_after and scenario.stage < len(channels):
-            requests.append((scenario.stage + 1, "best_response",
-                             replace(scenario, best_response_after=False)))
-        for stage, request, valid in requests:
-            try:
-                _scripted_power(scenario, request, cfg, beta_star)
-                continue
-            except (TypeError, ValueError) as exc:
-                error = exc
-            # a bad request raises once the stages before it, and its cap check, pass
-            run_game(model, cfg, channels[:stage], strategy, valid, beta_star)
-            raise error
+    override, last, error = _script(scenario, cfg, beta_star, len(channels))
 
     stages = len(channels)
     gains2 = np.array([state.gains2 for state in channels], dtype=float).reshape(stages, cfg.k)
@@ -500,20 +495,22 @@ def run_game(model: EfficiencyModel, cfg: NetworkConfig,
     coop = schedule.count(Phase.COOPERATE)
     prescribed = np.concatenate([strategy.powers(Phase.COOPERATE, gains2[:coop]),
                                  strategy.powers(Phase.ENDGAME, gains2[coop:])])
-    powers = _scripted(scenario, cfg, beta_star, gains2, prescribed)
+    powers = _scripted(override, cfg, beta_star, gains2, prescribed)
     omega = _stage_payoffs(None, cfg, gains2[:coop], powers[:coop])[2]
     seen = np.flatnonzero(strategy.deviation_seen(omega))
     detected = int(seen[0]) + 1 if seen.size else None  # t*
     if detected:
         schedule = strategy.phases(stages, punish_from=detected + 1)
         prescribed[detected:] = strategy.powers(Phase.PUNISH, gains2[detected:])
-        powers = _scripted(scenario, cfg, beta_star, gains2, prescribed)
-    over = prescribed > np.asarray(strategy.caps)
+        powers = _scripted(override, cfg, beta_star, gains2, prescribed)
+    over = prescribed[:last] > np.asarray(strategy.caps)
     if over.any():
         t, i = np.argwhere(over)[0]  # the first stage over a cap, its first player
         raise SaturatedRegimeError(
             f"stage {t + 1}: strategy prescribes {prescribed[t, i]} W to player "
             f"{i + 1}, above its cap {strategy.caps[i]} W")
+    if error is not None:
+        raise error
 
     sinrs, utils, omegas = _stage_payoffs(model, cfg, gains2, powers)
     labels = {phase: (phase.value,) * cfg.k for phase in Phase}

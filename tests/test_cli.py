@@ -279,6 +279,28 @@ def test_seed_precedence(tmp_path, monkeypatch):
     assert code == 0 and _seed_line(out) == "# seed: 1729"
 
 
+def test_set_wins_over_the_experiment_flags(tmp_path, monkeypatch):
+    # a flag fills in its runner argument only where --set left it unset
+    argv = ["experiment", "fig4", "--set", "n=16", "--set", "m_values=[10]",
+            "--set", 'k_grids={"10": [2]}', "--set", "seed=5"]
+    out = str(tmp_path / "a.csv")
+    code, _ = _run(argv + ["--set", "replicas=5", "--replicas", "7",
+                           "--seed", "7", "--out", out])
+    assert code == 0
+    with open(out) as fh:
+        lines = fh.read().splitlines()
+    assert json.loads(lines[1].partition(": ")[2])["replicas"] == 5
+    assert lines[2] == "# seed: 5"
+    # --set seed= leaves nothing to resolve, so a bad POWERGAME_SEED is not read
+    monkeypatch.setenv("POWERGAME_SEED", "not-a-seed")
+    named = str(tmp_path / "named.csv")
+    code, res = _run(argv + ["--replicas", "7", "--set", f"csv_path={named}",
+                             "--out", str(tmp_path / "flagged.csv")])
+    assert code == 0 and res["out"] == named
+    assert _seed_line(named) == "# seed: 5"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "named.csv"]
+
+
 def test_simulate_frg_deviation_trace(tmp_path):
     out = str(tmp_path / "trace.csv")
     code, res = _run(["simulate", "--scenario", _scenario(tmp_path),

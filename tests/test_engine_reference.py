@@ -10,6 +10,7 @@ exception type with the same message.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -195,3 +196,51 @@ def test_best_deviation_is_the_scalar_best_response():
         want = reference_best_deviation(model, cfg, ch, others, i, sinrs.beta_star)
         assert (got.power, got.utility, got.saturated) == \
             (want.power, want.utility, want.saturated)
+
+
+def _equal_bounds_game(plan, gains):
+    """Two alike players at unit gain bounds, cap 10 W: cooperating costs
+    0.5 W and one-shot play 1 W of received power."""
+    model = InfoTheoretic.from_c(0.5)
+    cfg = NetworkConfig.uniform(k=2, n=1, sigma2=1.0, rate=1.0, p_max=10.0,
+                                eta_min=1.0, eta_max=1.0)
+    sinrs = solve_all(model, 2, 1)
+    strategy = make_machines(cfg, model, plan, sinrs.beta_star, sinrs.gamma_tilde)
+    return model, cfg, sinrs, strategy, [ChannelState(g) for g in gains]
+
+
+@pytest.mark.parametrize("power", [99.0, -0.1, "lots", "best_response"])
+@pytest.mark.parametrize("low_stage, first", [(3, SaturatedRegimeError),
+                                              (4, SaturatedRegimeError),
+                                              (5, ValueError)])
+def test_bad_request_and_over_cap_gain_raise_in_stage_order(power, low_stage, first):
+    # the request at stage 4 is bad (no beta_star for a best response); a 0.01
+    # gain needs 50 W of the 10 W cap, and a stage's cap check precedes its request
+    gains = [(1.0, 1.0)] * 8
+    gains[low_stage - 1] = (1.0, 0.01)
+    model, cfg, _, strategy, channels = _equal_bounds_game(FrgPlan(8, 3), gains)
+    args = (model, cfg, channels, strategy, DeviationScenario(0, 4, power), None)
+    outcome = _outcome(run_game, *args)
+    assert outcome == _outcome(reference_run_game, *args)
+    assert outcome[:2] == ("error", first)
+    if first is SaturatedRegimeError:
+        assert outcome[2].startswith(f"stage {low_stage}:")
+
+
+@pytest.mark.parametrize("visible", [True, False])
+def test_continuation_without_beta_star_fails_a_stage_later(visible):
+    # the 0.07 gain at stage 5 needs 0.5/0.07 W cooperating but 1/0.07 W
+    # punished, so only a detected stage-4 deviation saturates stage 5 first
+    gains = [(1.0, 1.0)] * 8
+    gains[4] = (1.0, 0.07)
+    model, cfg, sinrs, strategy, channels = _equal_bounds_game(DrgPlan(0.2), gains)
+    power = 5.0 if visible else _equal_action(cfg, sinrs.gamma_tilde)  # / unit gain
+    scenario = DeviationScenario(0, 4, power, best_response_after=True)
+    args = (model, cfg, channels, strategy, scenario, None)
+    outcome = _outcome(run_game, *args)
+    assert outcome == _outcome(reference_run_game, *args)
+    if visible:
+        assert outcome[:2] == ("error", SaturatedRegimeError)
+        assert outcome[2].startswith("stage 5:")
+    else:
+        assert outcome == ("error", ValueError, "best_response scripts need beta_star")

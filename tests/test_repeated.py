@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from powergame import repeated
 from powergame.channel import ChannelProcess, draw_block, draw_sequence
 from powergame.efficiency import (
     InfoTheoretic,
@@ -363,6 +364,26 @@ def test_run_game_validations():
     with pytest.raises(ValueError, match="beta_star"):
         run_game(model, cfg, channels, strategy,
                  DeviationScenario(player=0, stage=1, power="best_response"))
+
+
+def test_bad_request_plays_the_game_once(monkeypatch):
+    # a bad request bounds the cap check; the stages before it are not replayed
+    play, calls = repeated.run_game, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return play(*args, **kwargs)
+
+    monkeypatch.setattr(repeated, "run_game", counted)
+    model, cfg, sinrs, plan, strategy, channels = _conforming_setup()
+    for scenario in (DeviationScenario(player=0, stage=3, power=99.0),
+                     DeviationScenario(player=0, stage=3, power="best_response"),
+                     DeviationScenario(player=0, stage=3, power="max",
+                                       best_response_after=True)):
+        calls.clear()
+        with pytest.raises(ValueError):
+            repeated.run_game(model, cfg, channels, strategy, scenario)
+        assert len(calls) == 1
 
 
 def test_reused_strategy_forgets_the_last_punishment():
