@@ -30,7 +30,7 @@ from math import exp, expm1, isfinite, log10
 import numpy as np
 
 from .errors import ChannelConfigError
-from .static_game import ChannelState, NetworkConfig
+from .static_game import ChannelState, NetworkConfig, _Columns
 
 MIN_ACCEPTANCE = 1e-6
 _BULK_KEY_OFFSET = 2**32  # keeps bulk substreams disjoint from per-player keys
@@ -120,11 +120,18 @@ def _stream(seed: int, word: int) -> np.random.Generator:
 
 
 def _engine_gains(process: ChannelProcess, stages: int) -> np.ndarray:
-    """(k, width) engine gains, width 1 in constant mode: one generator per player."""
+    """(k, width) engine gains, width 1 in constant mode.
+
+    One generator serves every player: its fresh state re-keyed to [seed, i]
+    is ``_stream(seed, i)``, at a fraction of the cost of building one."""
     width = 1 if process.mode is ChannelMode.CONSTANT else stages
     gains = np.empty((process.k, width))
+    gen = _stream(process.seed, 0)
+    fresh = gen.bit_generator.state  # counter 0, empty output buffer
     for i, (row, law) in enumerate(zip(gains, _laws(process))):
-        _stream(process.seed, i).random(out=row)
+        fresh["state"]["key"] = np.array([process.seed, i], dtype=np.uint64)
+        gen.bit_generator.state = fresh
+        gen.random(out=row)
         _truncated_exponential(row, *law)
     return gains
 
@@ -136,10 +143,27 @@ def draw(process: ChannelProcess, t: int) -> ChannelState:
     return ChannelState(tuple(_engine_gains(process, t)[:, -1].tolist()))
 
 
-def draw_sequence(process: ChannelProcess, stages: int) -> list[ChannelState]:
-    """Gains for stages 1..stages.  Constant mode replays the stage-1 draw."""
-    states = ChannelState._from_block(_engine_gains(process, stages).T)
-    return states * stages if process.mode is ChannelMode.CONSTANT else states
+@dataclass(frozen=True, eq=False)
+class GainPath(_Columns):
+    """``ChannelState``s of stages 1..T over one read-only (T, k) gain block,
+    which ``run_game`` plays as it is."""
+
+    gains2: np.ndarray
+
+    def _build(self) -> list[ChannelState]:
+        return list(map(ChannelState, self.gains2.tolist()))
+
+
+def draw_sequence(process: ChannelProcess, stages: int) -> GainPath:
+    """Gains for stages 1..stages as a ``GainPath``; constant mode repeats stage 1.
+
+    The block is checked once, raising ``ChannelState``'s ValueError for the
+    first bad gain in stage order."""
+    block = np.ascontiguousarray(_engine_gains(process, stages).T)
+    bad = ~((block > 0.0) & (block < np.inf))
+    if bad.any():
+        ChannelState(block[np.argwhere(bad)[0][0]].tolist())  # raises for that gain
+    return GainPath(np.broadcast_to(block, (stages, process.k)))
 
 
 def draw_block(process: ChannelProcess, stages: int, substream: int = 0) -> np.ndarray:

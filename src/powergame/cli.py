@@ -21,8 +21,10 @@ values parse as JSON, falling back to plain strings.  Players are 1-based on
 the command line and in all emitted files.
 
 Seed precedence: ``--seed`` flag, then the POWERGAME_SEED environment
-variable, then the documented default 1729.  In ``experiment``, ``--set``
-wins over every flag for the same runner argument, ``--set seed=`` included.
+variable, then the documented default 1729.  ``--set`` wins over any flag
+for the same value (runner arguments; simulate's plan and deviation; the
+channel seed of simulate and equilibria), a flag fills in what it left
+unset, and both win over the file.
 
 Exit codes: 0 success; 1 other error; 2 usage; 3 saturated regime;
 4 no one-shot equilibrium; 5 no finite cooperation horizon; 6 bad channel
@@ -153,6 +155,14 @@ def _scenario(args):
     return doc, model, cfg, solve_all(model, cfg.k, cfg.n)
 
 
+def _layered(doc: dict, args, name: str, flags: dict) -> dict:
+    """Scenario section ``name``: the flags that are given over the file's keys,
+    and the keys ``--set`` gives the section over both."""
+    return {**_field({name: {}, **doc}, name, dict, "scenario"),
+            **{key: value for key, value in flags.items() if value is not None},
+            **_field({name: {}, **_apply_overrides({}, args.set)}, name, dict, "--set")}
+
+
 def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
@@ -162,7 +172,7 @@ def _resolve_seed(args) -> int:
     return DEFAULT_SEED
 
 
-def _gains(doc: dict, cfg: NetworkConfig, seed: int, stages: int):
+def _gains(doc: dict, args, cfg: NetworkConfig, stages: int):
     """Channel states for the run: explicit gains2, or drawn from the process."""
     if "gains2" in doc:
         state = ChannelState(_field(doc, "gains2", lambda g: [float(v) for v in g],
@@ -175,12 +185,12 @@ def _gains(doc: dict, cfg: NetworkConfig, seed: int, stages: int):
                     f"gains2 entry {g} of player {i + 1} lies outside its "
                     f"bounds [eta_min, eta_max] = [{lo}, {hi}]")
         return [state] * stages
-    chan = {"mode": "constant", "mean_gain2": 1.0, "seed": seed,
-            **_field({"channel": {}, **doc}, "channel", dict, "scenario")}
+    chan = {"mode": "constant", "mean_gain2": 1.0,
+            **_layered(doc, args, "channel", {"seed": args.seed})}
     process = ChannelProcess.from_config(
         cfg, _field(chan, "mode", ChannelMode, "channel"),
         mean_gain2=_field(chan, "mean_gain2", _reals, "channel"),
-        seed=_field(chan, "seed", int, "channel"))
+        seed=_field(chan, "seed", int, "channel") if "seed" in chan else _resolve_seed(args))
     return draw_sequence(process, stages)
 
 
@@ -218,7 +228,7 @@ def cmd_solve(args) -> int:
 
 def cmd_equilibria(args) -> int:
     doc, model, cfg, sinrs = _scenario(args)
-    ch = _gains(doc, cfg, _resolve_seed(args), 1)[0]
+    ch = _gains(doc, args, cfg, 1)[0]
     leader = args.leader - 1
 
     for name, profile in (("ne", ne_profile(cfg, ch, sinrs.beta_star)),
@@ -246,9 +256,8 @@ def cmd_bounds(args) -> int:
 
 
 def _build_plan(doc: dict, args):
-    flags = {"type": args.plan, "t_total": args.t, "t0": args.t0, "lam": args.lam}
-    plan_doc = {**_field({"plan": {}, **doc}, "plan", dict, "scenario"),
-                **{key: value for key, value in flags.items() if value is not None}}
+    plan_doc = _layered(doc, args, "plan", {"type": args.plan, "t_total": args.t,
+                                            "t0": args.t0, "lam": args.lam})
     kind = plan_doc.get("type")
     if kind == "frg":
         return FrgPlan(_field(plan_doc, "t_total", int, "plan"),
@@ -274,12 +283,13 @@ def cmd_simulate(args) -> int:
         bound = lambda_bound(cfg, model, sinrs.beta_star, sinrs.gamma_tilde)
         report = ("lambda_max", bound, plan.lam <= bound)
 
-    dev_fields = _parse_deviation(args.deviate) if args.deviate else doc.get("deviation")
+    dev_fields = (_layered({}, args, "deviation", _parse_deviation(args.deviate))
+                  if args.deviate else doc.get("deviation"))
     scenario = None if dev_fields is None else _build_deviation(dev_fields)
 
     strategy = make_machines(cfg, model, plan, sinrs.beta_star,
                              sinrs.gamma_tilde)
-    channels = _gains(doc, cfg, _resolve_seed(args), stages)
+    channels = _gains(doc, args, cfg, stages)
     trace = run_game(model, cfg, channels, strategy, scenario,
                      beta_star=sinrs.beta_star)
     out = args.out or experiments._default_path(".", "trace")
@@ -289,8 +299,8 @@ def cmd_simulate(args) -> int:
     _emit("stages", len(trace))
     _emit(report[0], report[1])
     _emit("enforceable", int(report[2]))
-    detected = next((r.t for r in trace if r.deviation_detected), None)
-    _emit("deviation_detected_at", detected if detected is not None else "none")
+    detected = trace.t[trace.deviation_detected].tolist()
+    _emit("deviation_detected_at", detected[0] if detected else "none")
     for i in range(cfg.k):
         if isinstance(plan, FrgPlan):
             _emit(f"avg_utility_{i + 1}", averaged_utility_frg(trace, i))

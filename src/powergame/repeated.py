@@ -19,7 +19,9 @@ closed-form inverses for alike players serve the experiment runners.
 ``run_game`` plays a game as at most two batched passes over its (stages, k)
 gains: (a) the on-plan schedule up to the first detected stage t*, (b) the
 punish phase after it.  Detection runs only while cooperating and punishment
-is absorbing, so nothing after t* can change a phase.
+is absorbing, so nothing after t* can change a phase.  It plays a drawn
+``GainPath``'s block as it is and returns a ``Trace``, the kernel's columns
+behind ``StageRecord``s that are built when first read and then kept.
 """
 
 from __future__ import annotations
@@ -30,9 +32,10 @@ from math import ceil, floor, log
 
 import numpy as np
 
+from .channel import GainPath
 from .efficiency import EfficiencyModel, equal_action_utility
 from .errors import NoFiniteT0Error, PowerGameError, SaturatedRegimeError
-from .static_game import ChannelState, NetworkConfig, _equal_action, _require_one_shot
+from .static_game import ChannelState, NetworkConfig, _Columns, _equal_action, _require_one_shot
 from .static_game import _stage_payoffs, ne_action
 
 
@@ -89,7 +92,7 @@ class GameHistory:
 
 @dataclass(frozen=True)
 class StageRecord:
-    # run_game fills the instance __dict__ by field name, as the generated
+    # Trace fills the instance __dict__ by field name, as the generated
     # __init__ would: exact only while there is no __post_init__
     t: int
     gains2: tuple[float, ...]
@@ -102,6 +105,37 @@ class StageRecord:
 
 
 _RECORD_FIELDS = tuple(f.name for f in fields(StageRecord))
+
+
+@dataclass(frozen=True, eq=False)
+class Trace(_Columns):
+    """A played game: ``StageRecord``s over read-only columns, one per record field.
+
+    The per-player fields are (stages, k) arrays, ``phases`` holds each stage's
+    tuple of k phase labels, the rest are (stages,) arrays.  A slice keeps its
+    ``t`` values.
+    """
+
+    t: np.ndarray
+    gains2: np.ndarray
+    powers: np.ndarray
+    sinrs: np.ndarray
+    utilities: np.ndarray
+    omega: np.ndarray
+    phases: tuple[tuple[str, ...], ...]
+    deviation_detected: np.ndarray
+
+    def _build(self) -> list[StageRecord]:
+        columns = {name: getattr(self, name) for name in _RECORD_FIELDS}
+        columns.update({name: zip(*column.T.tolist()) if column.ndim == 2 else column.tolist()
+                        for name, column in columns.items() if name != "phases"})
+        new = object.__new__
+        records = [new(StageRecord) for _ in range(len(self))]
+        fills = [record.__dict__ for record in records]
+        for name in _RECORD_FIELDS:  # the order the generated __init__ stores them in
+            for fill, value in zip(fills, columns[name]):
+                fill[name] = value
+        return records
 
 
 @dataclass(frozen=True)
@@ -385,34 +419,37 @@ def best_deviation(model: EfficiencyModel, cfg: NetworkConfig, ch: ChannelState,
     return BestDeviation(power, cfg.rates[player] * model.value(x) / power, saturated)
 
 
-def averaged_utility_frg(trace: list[StageRecord], player: int) -> float:
-    """Arithmetic mean of the player's stage utilities over the trace."""
+def _utilities(trace: Trace, player: int) -> np.ndarray:
+    """The player's stage utilities, contiguous so sums run in the list's order."""
     if not trace:
         raise ValueError("empty trace")
-    return float(np.mean([r.utilities[player] for r in trace]))
+    return trace.utilities[:, player].copy()
 
 
-def averaged_utility_drg(trace: list[StageRecord], player: int,
+def averaged_utility_frg(trace: Trace, player: int) -> float:
+    """Arithmetic mean of the player's stage utilities over the trace."""
+    return float(np.mean(_utilities(trace, player)))
+
+
+def averaged_utility_drg(trace: Trace, player: int,
                          lam: float) -> DiscountedAverage:
     """Expected-stopping average sum_t lam*(1-lam)^(t-1) u_i(t) over the trace.
 
     The reported tail bound is (1-lam)^T times the max observed stage
     utility, bounding the mass truncated at T stages.
     """
-    if not trace:
-        raise ValueError("empty trace")
+    u = _utilities(trace, player)
     if not 0.0 < lam < 1.0:
         raise ValueError("lam must lie in (0, 1)")
-    u = np.array([r.utilities[player] for r in trace])
     weights = lam * (1.0 - lam) ** np.arange(len(u))
     return DiscountedAverage(float(weights @ u), (1.0 - lam) ** len(u) * float(u.max()))
 
 
-def history_at(trace: list[StageRecord], player: int, upto: int) -> GameHistory:
+def history_at(trace: Trace, player: int, upto: int) -> GameHistory:
     """Public history available to a player entering stage upto+1."""
     return GameHistory(
-        omegas=tuple(r.omega for r in trace[:upto]),
-        own_powers=tuple(r.powers[player] for r in trace[:upto]),
+        omegas=tuple(trace.omega[:upto].tolist()),
+        own_powers=tuple(trace.powers[:upto, player].tolist()),
     )
 
 
@@ -466,10 +503,10 @@ def _scripted(override, cfg: NetworkConfig, beta_star: float | None,
 
 
 def run_game(model: EfficiencyModel, cfg: NetworkConfig,
-             channels: list[ChannelState], strategy: TriggerStrategy,
+             channels: GainPath | list[ChannelState], strategy: TriggerStrategy,
              scenario: DeviationScenario | None = None,
-             beta_star: float | None = None) -> list[StageRecord]:
-    """Play the stage game under the shared strategy, one record per stage.
+             beta_star: float | None = None) -> Trace:
+    """Play the stage game under the shared strategy: a ``Trace``, one record per stage.
 
     A player's power depends only on its own current gain and the phase, the
     phase only on the public signal, so the trace respects the game's
@@ -481,7 +518,9 @@ def run_game(model: EfficiencyModel, cfg: NetworkConfig,
     has one: SaturatedRegimeError for a prescription above a cap (a gain below
     the strategy's bounds), or the script's ValueError for a bad request.  A
     bad request's stage bounds the cap check; the stages before it play as
-    they would alone, since nothing in a stage depends on a later one.
+    they would alone, since nothing in a stage depends on a later one.  A
+    ``GainPath`` is played from its block; any other sequence of states is
+    stacked into one.
     """
     plan = strategy.plan
     if isinstance(plan, FrgPlan) and len(channels) > plan.t_total:
@@ -490,7 +529,8 @@ def run_game(model: EfficiencyModel, cfg: NetworkConfig,
     override, last, error = _script(scenario, cfg, beta_star, len(channels))
 
     stages = len(channels)
-    gains2 = np.array([state.gains2 for state in channels], dtype=float).reshape(stages, cfg.k)
+    gains2 = (channels.gains2 if isinstance(channels, GainPath) else
+              np.array([state.gains2 for state in channels], dtype=float)).reshape(stages, cfg.k)
     schedule = strategy.phases(stages)
     coop = schedule.count(Phase.COOPERATE)
     prescribed = np.concatenate([strategy.powers(Phase.COOPERATE, gains2[:coop]),
@@ -514,32 +554,28 @@ def run_game(model: EfficiencyModel, cfg: NetworkConfig,
 
     sinrs, utils, omegas = _stage_payoffs(model, cfg, gains2, powers)
     labels = {phase: (phase.value,) * cfg.k for phase in Phase}
-    columns = {"t": range(1, stages + 1), "gains2": (state.gains2 for state in channels),
-               "powers": zip(*powers.T.tolist()), "sinrs": zip(*sinrs.T.tolist()),
-               "utilities": zip(*utils.T.tolist()), "omega": omegas.tolist(),
-               "phases": map(labels.get, schedule),
-               "deviation_detected": (t == detected for t in range(1, stages + 1))}
-    new = object.__new__
-    trace = [new(StageRecord) for _ in range(stages)]
-    fills = [record.__dict__ for record in trace]
-    for name in _RECORD_FIELDS:  # the order the generated __init__ stores them in
-        for fill, value in zip(fills, columns[name]):
-            fill[name] = value
-    return trace
+    t = np.arange(1, stages + 1)
+    return Trace(t, gains2, powers, sinrs, utils, omegas, tuple(map(labels.get, schedule)),
+                 t == detected)
 
 
-def trace_to_csv(path, trace: list[StageRecord]) -> None:
-    """One row per (stage, player): t,player,gain2,power,sinr,utility,omega,phase,deviated."""
-    import csv
+def trace_to_csv(path, trace: Trace) -> None:
+    """One row per (stage, player): t,player,gain2,power,sinr,utility,omega,phase,deviated.
 
+    Each of the ``Trace``'s columns is formatted once, floats by ``repr``, and
+    the rows are joined as ``csv.writer`` writes them: no cell needs quoting.
+    """
+    stages, k = trace.powers.shape
+
+    def per_player(cells):  # a stage's cell on each of its k rows
+        return [cell for cell in cells for _ in range(k)]
+
+    rows = zip(per_player(map(str, trace.t.tolist())), list(map(str, range(1, k + 1))) * stages,
+               *(map(repr, block.ravel().tolist()) for block in
+                 (trace.gains2, trace.powers, trace.sinrs, trace.utilities)),
+               per_player(map(repr, trace.omega.tolist())),
+               (label for labels in trace.phases for label in labels),
+               per_player("1" if flag else "0" for flag in trace.deviation_detected.tolist()))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "player", "gain2", "power", "sinr", "utility",
-                         "omega", "phase", "deviated"])
-        for r in trace:
-            for i in range(len(r.powers)):
-                writer.writerow([
-                    r.t, i + 1, repr(r.gains2[i]), repr(r.powers[i]),
-                    repr(r.sinrs[i]), repr(r.utilities[i]), repr(r.omega),
-                    r.phases[i], int(r.deviation_detected),
-                ])
+        fh.write("\r\n".join(["t,player,gain2,power,sinr,utility,omega,phase,deviated",
+                                *map(",".join, rows), ""]))

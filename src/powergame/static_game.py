@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -82,23 +83,60 @@ class ChannelState:
             if not 0.0 < g < np.inf:
                 raise ValueError(f"squared gain {g} must be positive and finite")
 
-    @classmethod
-    def _from_block(cls, block: np.ndarray) -> list["ChannelState"]:
-        """One state per row of a (stages, k) float block, checked in one pass.
 
-        Stores what ``__post_init__`` stores, a tuple of Python floats, and
-        raises its ValueError for the first bad gain in row order.
-        """
-        bad = ~((block > 0.0) & (block < np.inf))
-        if bad.any():
-            cls(block[np.argwhere(bad)[0][0]].tolist())  # raises for that gain
-        new = object.__new__
-        states = []
-        for row in zip(*block.T.tolist()):
-            state = new(cls)
-            state.__dict__["gains2"] = row
-            states.append(state)
-        return states
+@dataclass(frozen=True, eq=False)
+class _Columns(Sequence):
+    """A sequence of per-stage items over read-only columns, one row per stage.
+
+    Subclasses are frozen dataclasses whose fields are the columns, named as
+    the item's fields, and whose ``_build`` makes every item in one batch.  The
+    first full read (iteration, ``==``) builds the items and keeps them; ``[t]``
+    before that builds one.  A slice is the same type over the sliced columns,
+    ``==`` compares the items with any sequence, and ``[t] = item`` replaces
+    items as in a list, rebuilding the columns from them.
+    """
+
+    def __post_init__(self):
+        for f in fields(self):
+            column = getattr(self, f.name)
+            if isinstance(column, np.ndarray):
+                column.flags.writeable = False
+
+    def _items(self) -> list:
+        if "_built" not in self.__dict__:
+            object.__setattr__(self, "_built", self._build())
+        return self._built
+
+    def __iter__(self):
+        return iter(self._items())
+
+    def __len__(self) -> int:
+        return len(getattr(self, fields(self)[0].name))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return type(self)(*(getattr(self, f.name)[index] for f in fields(self)))
+        if "_built" in self.__dict__:
+            return self._built[index]
+        t = range(len(self))[index]  # IndexError past either end
+        return self[t:t + 1]._build()[0]
+
+    def __setitem__(self, index, value):
+        items = list(self._items())
+        items[index] = value
+        columns = {}
+        for f in fields(self):
+            column, cells = getattr(self, f.name), [getattr(item, f.name) for item in items]
+            columns[f.name] = (tuple(cells) if isinstance(column, tuple) else
+                               np.array(cells, column.dtype).reshape(-1, *column.shape[1:]))
+        for name, column in {**columns, "_built": items}.items():
+            object.__setattr__(self, name, column)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
 
 
 @dataclass(frozen=True)
@@ -150,8 +188,10 @@ def utility(model: EfficiencyModel, cfg: NetworkConfig, ch: ChannelState,
 
 
 def public_signal(cfg: NetworkConfig, ch: ChannelState, profile: PowerProfile) -> float:
-    """Total received energy sigma2 + sum_i p_i |g_i|^2, observable by all."""
-    return float(_stage_payoffs(None, cfg, ch.gains2, profile.p)[2])
+    """Total received energy sigma2 + sum_i p_i |g_i|^2, observable by all.
+
+    The stage kernel's own expression, so the float is ``_stage_payoffs``'s."""
+    return float(cfg.sigma2 + (np.asarray(profile.p) * np.asarray(ch.gains2)).sum(axis=-1))
 
 
 def reconstruct_public_signal(p_i: float, gain2_i: float, sinr_i: float, n: int) -> float:

@@ -13,6 +13,9 @@ from powergame.channel import (
     MIN_ACCEPTANCE,
     ChannelMode,
     ChannelProcess,
+    _engine_gains,
+    _laws,
+    _stream,
     _truncated_exponential,
     acceptance_probability,
     draw,
@@ -84,6 +87,19 @@ def test_engine_draws_are_addressable_by_stage(mode):
     for t in range(1, 24):
         assert draw(proc, t).gains2 == seq[t - 1].gains2
     assert draw_sequence(proc, 9) == seq[:9]
+
+
+@pytest.mark.parametrize("mode", ["per_stage", "constant"])
+@pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1])
+def test_engine_rows_are_the_per_player_streams(mode, seed):
+    # one re-keyed generator serves every player: row i is _stream(seed, i)'s output
+    proc = ChannelProcess(mode=mode, mean_gain2=(1.0, 0.5, 3.0), eta_min=(0.1, 0.2, 0.3),
+                          eta_max=(10.0, 5.0, 20.0), seed=seed)
+    gains = _engine_gains(proc, 40)
+    assert gains.shape == (3, 1 if mode == "constant" else 40)
+    for i, (row, law) in enumerate(zip(gains, _laws(proc))):
+        want = _truncated_exponential(_stream(seed, i).random(gains.shape[1]), *law)
+        assert row.tobytes() == want.tobytes()
 
 
 def test_block_columns_do_not_depend_on_network_size():

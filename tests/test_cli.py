@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, seeds, overrides."""
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -299,6 +300,46 @@ def test_set_wins_over_the_experiment_flags(tmp_path, monkeypatch):
     assert code == 0 and res["out"] == named
     assert _seed_line(named) == "# seed: 5"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "named.csv"]
+
+
+def test_set_wins_over_the_simulate_flags(tmp_path):
+    # --set wins, a flag fills in what --set left unset, and both win over the file
+    doc = {key: value for key, value in EQUAL_BOUNDS.items() if key != "gains2"}
+    doc["network"] = dict(EQUAL_BOUNDS["network"], eta_max=2.0)
+    doc["channel"] = {"mode": "per_stage", "mean_gain2": 1.0, "seed": 3}
+    doc["plan"] = {"type": "frg", "t_total": 6, "t0": 2}
+    scenario = _scenario(tmp_path, doc=doc)
+
+    def play(*flags):
+        out = tmp_path / "trace.csv"
+        code, res = _run(["simulate", "--scenario", scenario, "--out", str(out), *flags])
+        assert code == 0
+        with open(out, newline="") as fh:
+            rows = [row for row in csv.DictReader(fh) if row["player"] == "1"]
+        return (res, [row["phase"] for row in rows].count("endgame"),
+                [row["gain2"] for row in rows])
+
+    _, endgame, file_gains = play()
+    assert endgame == 2
+    assert play("--t0", "1")[1] == 1
+    assert play("--set", "plan.t0=4", "--t0", "1")[1] == 4
+    res = play("--t0", "1", "--deviate", "player=1,stage=3,power=max",
+               "--set", "deviation.stage=5")[0]
+    assert res["deviation_detected_at"] == "5"
+    reseeded = play("--set", "channel.seed=9")[2]
+    assert reseeded != file_gains
+    assert play("--seed", "9")[2] == reseeded
+    assert play("--set", "channel.seed=3", "--seed", "9")[2] == file_gains
+
+    # equilibria draws its stage-1 gains under the same precedence
+    def equilibria(*flags):
+        code, res = _run(["equilibria", "--scenario", scenario, *flags])
+        assert code == 0
+        return res
+
+    from_file = equilibria()
+    assert equilibria("--seed", "9") == equilibria("--set", "channel.seed=9") != from_file
+    assert equilibria("--set", "channel.seed=3", "--seed", "9") == from_file
 
 
 def test_simulate_frg_deviation_trace(tmp_path):

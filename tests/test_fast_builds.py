@@ -28,9 +28,9 @@ from powergame.repeated import (
 from powergame.static_game import ChannelState, NetworkConfig
 
 
-def _game(rng, mode):
+def _game(rng, mode, k=None):
     """A random enforceable-looking network, its strategy and drawn channels."""
-    k = int(rng.integers(2, 5))
+    k = int(rng.integers(2, 5)) if k is None else k
     model = PacketSuccess(int(rng.integers(2, 12)))
     beta = solve_all(model, 1, 1).beta_star
     n = int(math.ceil((k - 1) * beta / rng.uniform(0.2, 0.8)))
@@ -93,3 +93,53 @@ def test_a_bad_drawn_gain_raises_the_constructor_error(monkeypatch, mode, bad):
     with pytest.raises(ValueError) as got:
         draw_sequence(process, 3)
     assert str(got.value) == str(expected.value)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(list(ChannelMode)),
+       k=st.integers(2, 10), data=st.data())
+def test_gain_paths_and_traces_act_as_their_lists(seed, mode, k, data):
+    rng = np.random.default_rng(seed)
+    model, cfg, sinrs, strategy, path = _game(rng, mode, k)
+    script = DeviationScenario(int(rng.integers(0, k)), int(rng.integers(1, len(path) + 1)),
+                               "max")
+    trace = run_game(model, cfg, path, strategy, script)
+    states, records = list(path), list(trace)
+    # the block played as it is and the states stacked anew give the same game
+    stacked = run_game(model, cfg, states, strategy, script)
+    assert [repr(r) for r in stacked] == [repr(r) for r in records]
+    assert stacked == trace
+    assert [r.t for r in records] == list(range(1, len(path) + 1))
+    for view, items in ((path, states), (trace, records)):
+        n = len(items)
+        assert len(view) == n and view == items and items == list(view)
+        for i in range(-n, n):
+            assert view[i] == items[i]
+        for past in (n, -n - 1):
+            with pytest.raises(IndexError):
+                view[past]
+        part = data.draw(st.slices(n))
+        assert type(view[part]) is type(view) and view[part] == items[part]
+    part = data.draw(st.slices(len(trace)))
+    assert trace[part].t.tolist() == [r.t for r in records[part]]
+    # the columns refuse writes, and so does the view
+    for column in (path.gains2, trace.t, trace.gains2, trace.powers, trace.sinrs,
+                   trace.utilities, trace.omega, trace.deviation_detected):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = column[-1]
+    with pytest.raises(TypeError):
+        trace.phases[0] = trace.phases[-1]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        trace.powers = trace.sinrs
+    # the records are built once; replacing one, as in a list, rebuilds the columns
+    assert all(a is b for a, b in zip(trace, trace)) and trace[-1] is records[-1]
+    flipped = dataclasses.replace(records[0], omega=-1.0, deviation_detected=True)
+    trace[0] = flipped
+    assert trace[0] is flipped and trace == [flipped, *records[1:]]
+    assert trace.omega[0] == -1.0 and trace.deviation_detected[0] and trace[:1] == [flipped]
+    assert trace[1:] == records[1:] and trace.powers.shape == (len(records), k)
+    path[-1] = ChannelState([1.0] * k)
+    assert path.gains2[-1].tolist() == [1.0] * k and path[:-1] == states[:-1]
+    for column in (path.gains2, trace.omega):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = column[-1]

@@ -321,3 +321,18 @@ def test_stage_kernel_batch_is_bitwise_the_per_profile_functions(k, rows, seed, 
         assert sinrs[r].tobytes() == sinr_all(cfg, ch, prof).tobytes()
         assert tuple(utils[r]) == utility(model, cfg, ch, prof).u
         assert float(omega[r]) == public_signal(cfg, ch, prof)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_public_signal_is_bitwise_the_kernel(k, seed):
+    rng = np.random.default_rng(seed)
+    cfg = NetworkConfig(k=k, n=int(rng.integers(1, 64)), sigma2=float(10.0 ** rng.uniform(-4, 1)),
+                        rates=1.0, p_max=1e3, eta_min=1e-3, eta_max=1e3)
+    ch = ChannelState(tuple(10.0 ** rng.uniform(-3, 3, k)))
+    powers = 10.0 ** rng.uniform(-4, 3, k)
+    powers[rng.random(k) < 0.2] = 0.0
+    profile = PowerProfile(tuple(powers))
+    got = public_signal(cfg, ch, profile)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == _stage_payoffs(None, cfg, ch.gains2, profile.p)[2].tobytes()
