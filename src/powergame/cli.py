@@ -36,7 +36,6 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
-import math
 import os
 import sys
 
@@ -311,18 +310,8 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-_EXPERIMENTS = {
-    "fig1": experiments.fig1_region,
-    "fig2": experiments.fig2_dynamics_vs_t,
-    "fig3": experiments.fig3_dynamics_vs_lambda,
-    "fig4": experiments.fig4_welfare_vs_load,
-    "fig5": experiments.fig5_frg_ratio_vs_t,
-    "t0sweep": experiments.fig5_t0_sweep,
-}
-
-
 def cmd_experiment(args) -> int:
-    runner = _EXPERIMENTS[args.name]
+    runner = experiments.RUNNERS[args.name]
     params = inspect.signature(runner).parameters
     kwargs = {}
     for pair in args.set or []:
@@ -331,18 +320,7 @@ def cmd_experiment(args) -> int:
             raise ValueError(
                 f"unknown option {key!r} for {args.name}; valid: "
                 + ", ".join(sorted(params)))
-        value = kwargs[key] = _parse_value(raw)
-        # the runner's default says what the argument must be
-        default = params[key].default
-        want = ((list, "a list") if isinstance(default, tuple) else
-                (int, "an integer") if type(default) is int else
-                ((int, float), "a number") if type(default) is float else None)
-        if want and (isinstance(value, bool) or not isinstance(value, want[0])):
-            raise ValueError(f"{args.name} needs {want[1]} in {key}, got {raw}")
-        # NaN is never an argument; +inf only as eta_max, no upper cut on the gains
-        if not all(math.isfinite(v) or (key, v) == ("eta_max", math.inf) for v in
-                   (value if isinstance(value, list) else [value]) if isinstance(v, float)):
-            raise ValueError(f"{args.name} needs finite numbers in {key}, got {raw}")
+        kwargs[key] = _parse_value(raw)  # the runner checks its kind
     # --set names the argument and wins; a flag fills in only what it left unset
     flags = {"workers": args.workers, "replicas": args.replicas, "out_dir": args.out_dir,
              "csv_path" if "csv_path" in params else "region_path": args.out,
@@ -417,7 +395,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="trace CSV path")
 
     p = sub.add_parser("experiment", help="regenerate a study as CSV")
-    p.add_argument("name", choices=sorted(_EXPERIMENTS))
+    p.add_argument("name", choices=sorted(experiments.RUNNERS))
     p.add_argument("--out", help="output CSV path")
     p.add_argument("--out-dir", default=".")
     p.add_argument("--replicas", type=int)

@@ -16,9 +16,11 @@ coefficient A >= 0:
 * A = (k-1)/n gives the cooperative operating SINR (``gamma_tilde``),
 * A built from beta_star gives the hierarchical leader SINR (``gamma_star``).
 
-Roots are isolated with an expanding bracket and refined by bisection.  The
-equations are evaluated in the ratio form x*(1 - A*x)*f'(x)/f(x) - 1, which
-stays finite where f itself underflows (tiny SINR, large m).
+Roots are isolated with an expanding bracket and refined to the float plain
+bisection returns: ``roots.bisect`` locates the crossing by regula falsi and
+replays the bisection, evaluating only near the root.  The equations are
+evaluated in the ratio form x*(1 - A*x)*f'(x)/f(x) - 1, which stays finite
+where f itself underflows (tiny SINR, large m).
 
 Every function of the SINR goes through one decorator, ``_sinr_formula``,
 which rejects SINRs outside the domain (NaN included) and evaluates a float

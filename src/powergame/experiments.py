@@ -15,18 +15,22 @@ Every run is deterministic given (config, seed): CSV files open with a
 comment block recording the full config, the seed, and the package version,
 and reruns are byte-identical.  Monte Carlo replicas draw from per-replica
 RNG substreams and map one replica per job, so results do not depend on
---workers.
+--workers.  ``RUNNERS`` maps each experiment name to its runner, which
+checks every argument before it runs (``_runner``).
 """
 
 from __future__ import annotations
 
 import csv
+import functools
+import inspect
 import json
 import math
 import os
 import time
 from dataclasses import astuple, dataclass
 from functools import partial
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -52,6 +56,61 @@ from .static_game import (
 )
 
 DEFAULT_SEED = 1729
+RUNNERS = {}  # experiment name -> runner, filled by @_runner at import
+
+
+def _floats(value):
+    """The floats in value, inside lists, tuples, arrays and dict values too."""
+    if isinstance(value, float):
+        return [value]
+    if isinstance(value, dict):
+        value = list(value.values())
+    if not isinstance(value, (list, tuple, np.ndarray)):
+        return []
+    floats = []
+    for v in value:
+        if isinstance(v, float):
+            floats.append(v)
+        elif isinstance(v, (list, tuple, np.ndarray, dict)):
+            floats += _floats(v)
+    return floats
+
+
+def _runner(name: str):
+    """Register a runner as experiment `name`, checking its arguments on every call.
+
+    Before anything runs or is written, each argument must be of its
+    default's kind: a sequence for a tuple, an integer for an int and a
+    number for a float, never a bool.  NaN is never an argument, and +inf
+    only as eta_max (no upper cut on the gains).  A ValueError names the
+    experiment and the argument.
+    """
+    def register(fn):
+        params = inspect.signature(fn).parameters
+        kinds = {key: ((list, tuple, range, np.ndarray), "a list") if isinstance(p.default, tuple)
+                 else (Integral, "an integer") if type(p.default) is int
+                 else (Real, "a number") if type(p.default) is float else None
+                 for key, p in params.items()}
+
+        @functools.wraps(fn)
+        def run(*args, **kwargs):
+            for key, value in [*zip(params, args), *kwargs.items()]:
+                want = kinds.get(key)
+                if want and (isinstance(value, bool) or not isinstance(value, want[0])):
+                    problem = want[1]
+                elif all(math.isfinite(v) or (key, v) == ("eta_max", math.inf)
+                         for v in _floats(value)):
+                    continue
+                else:
+                    problem = "finite numbers"
+                raise ValueError(f"{name} needs {problem} in {key}, "
+                                 f"got {json.dumps(value, default=repr)}")
+            return fn(*args, **kwargs)
+
+        RUNNERS[name] = run
+        return run
+
+    return register
 
 
 def _cell(v):
@@ -153,6 +212,7 @@ def _convexity_ratio(utils_norm: np.ndarray, bins: int) -> float:
     return float(occupied.sum() / inside.sum())
 
 
+@_runner("fig1")
 def fig1_region(region_path=None, points_path=None, out_dir=".",
                 points_per_axis: int = 200, m: int = 2, n: int = 2,
                 sigma2: float = 1e-3, p_max: float = 1e-2,
@@ -266,6 +326,7 @@ def _dynamics_sweep(csv_path, out_dir, name, x_name, config, grid, edge):
     return DynamicsResult(csv_path, tuple(rows))
 
 
+@_runner("fig2")
 def fig2_dynamics_vs_t(csv_path=None, out_dir=".",
                        curves=((2, 2), (4, 5), (10, 12)), m: int = 2,
                        t_grid=tuple(range(1, 51)), sigma2: float = 1e-3,
@@ -282,6 +343,7 @@ def fig2_dynamics_vs_t(csv_path=None, out_dir=".",
     return _dynamics_sweep(csv_path, out_dir, "fig2", "t", config, t_grid, edge)
 
 
+@_runner("fig3")
 def fig3_dynamics_vs_lambda(csv_path=None, out_dir=".",
                             curves=((2, 2), (4, 5), (10, 12)), m: int = 2,
                             lambda_grid=tuple(np.linspace(0.005, 0.25, 50)),
@@ -356,6 +418,7 @@ def _fig4_point(indexed, n, replicas, seed, eta_min, eta_max, mean_gain2, leader
     return Fig4Row(m, k, k / n, op_mu, op_se, se_mu, se_se, 1.0 / beta + 1.0 / n)
 
 
+@_runner("fig4")
 def fig4_welfare_vs_load(csv_path=None, out_dir=".", n: int = 128,
                          m_values=(10, 100), k_grids=None,
                          replicas: int = 10_000, seed: int = DEFAULT_SEED,
@@ -431,6 +494,7 @@ def _fig5_replica(j, process, t_grid, t0, rate_coop, rate_ne, phi_op, phi_ne):
             (phi_op * a + phi_ne * b) / (phi_ne * (a + b)))
 
 
+@_runner("fig5")
 def fig5_frg_ratio_vs_t(csv_path=None, out_dir=".", k: int = 35, m: int = 10,
                         n: int = 128, p_max: float = 1e-2,
                         sigma2: float = 1e-5, dynamics_db: float = 3.0,
@@ -508,6 +572,7 @@ class T0SweepResult:
     implied_eta_min: float | None
 
 
+@_runner("t0sweep")
 def fig5_t0_sweep(csv_path=None, out_dir=".", k: int = 35, m: int = 10,
                   n: int = 128, p_max: float = 1e-2, sigma2: float = 1e-5,
                   dynamics_db: float = 20.0,

@@ -1,5 +1,6 @@
 """Experiment runners: CSV layout, frozen pins, determinism."""
 
+import inspect
 import math
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from powergame.efficiency import (
 from powergame.errors import NoFiniteT0Error
 from powergame.experiments import (
     DEFAULT_SEED,
+    RUNNERS,
     fig1_region,
     fig2_dynamics_vs_t,
     fig3_dynamics_vs_lambda,
@@ -303,3 +305,33 @@ def test_fig4_worker_count_does_not_change_the_output(tmp_path):
     a = fig4_welfare_vs_load(csv_path=str(tmp_path / "w1.csv"), workers=1, **kw)
     b = fig4_welfare_vs_load(csv_path=str(tmp_path / "w2.csv"), workers=2, **kw)
     assert Path(a.csv_path).read_bytes() == Path(b.csv_path).read_bytes()
+
+
+PATH_ARGS = {"csv_path", "region_path", "points_path", "out_dir"}
+RUNNER_ARGS = [(name, key) for name, runner in RUNNERS.items()
+               for key in inspect.signature(runner).parameters if key not in PATH_ARGS]
+
+
+def _spoiled(key, default, bad, slot):
+    """An argument shaped like its default with one number replaced by bad."""
+    if key == "k_grids":
+        return {"10": [2, bad]}
+    if not isinstance(default, tuple):
+        return bad
+    items = list(default)[:2]
+    items[slot] = [items[slot][0], bad] if isinstance(items[slot], tuple) else bad
+    return items
+
+
+@pytest.mark.parametrize("name, key", RUNNER_ARGS)
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(bad=st.sampled_from([math.nan, math.inf, -math.inf]), slot=st.integers(0, 1))
+def test_runners_reject_nonfinite_arguments_from_python(tmp_path_factory, name, key,
+                                                        bad, slot):
+    assume((key, bad) != ("eta_max", math.inf))  # no upper cut on the gains
+    runner = RUNNERS[name]
+    value = _spoiled(key, inspect.signature(runner).parameters[key].default, bad, slot)
+    out_dir = tmp_path_factory.mktemp("nonfinite")
+    with pytest.raises(ValueError, match=f"^{name} needs .* in {key}, got "):
+        runner(out_dir=str(out_dir), **{key: value})
+    assert list(out_dir.iterdir()) == []
