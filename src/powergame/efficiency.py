@@ -16,11 +16,11 @@ coefficient A >= 0:
 * A = (k-1)/n gives the cooperative operating SINR (``gamma_tilde``),
 * A built from beta_star gives the hierarchical leader SINR (``gamma_star``).
 
-Roots are isolated with an expanding bracket and refined to the float plain
-bisection returns: ``roots.bisect`` locates the crossing by regula falsi and
-replays the bisection, evaluating only near the root.  The equations are
-evaluated in the ratio form x*(1 - A*x)*f'(x)/f(x) - 1, which stays finite
-where f itself underflows (tiny SINR, large m).
+InfoTheoretic roots have the closed form c/(1 + A*c).  PacketSuccess roots
+are bracketed and refined to the float plain bisection returns:
+``roots.bisect`` locates the crossing by regula falsi and replays the
+bisection, evaluating only near the root, on the ratio form
+x*(1 - A*x)*f'(x)/f(x) - 1, finite where f underflows (tiny SINR, large m).
 
 Every function of the SINR goes through one decorator, ``_sinr_formula``,
 which rejects SINRs outside the domain (NaN included) and evaluates a float
@@ -39,8 +39,8 @@ from __future__ import annotations
 import functools
 import operator
 import warnings
-from dataclasses import dataclass
-from math import log2
+from dataclasses import dataclass, field
+from math import inf, log2
 
 import numpy as np
 
@@ -131,21 +131,20 @@ class InfoTheoretic:
     """Efficiency f(x) = exp(-c/x), c = 2**rate - 1, with f(0) = 0."""
 
     rate: float
+    c: float = field(init=False, repr=False, compare=False)  # 2**rate - 1, set once
 
     def __post_init__(self):
-        if not self.rate > 0.0:
-            raise ValueError("spectral efficiency target must be positive")
         object.__setattr__(self, "rate", float(self.rate))
+        c = inf if self.rate >= 1024.0 else 2.0 ** self.rate - 1.0  # no OverflowError
+        if not 0.0 < c < inf:  # NaN, rate <= 0, or 2**rate rounding to 1 or overflowing
+            raise ValueError(f"c = 2**rate - 1 must be positive and finite, got c = {c}")
+        object.__setattr__(self, "c", c)
 
     @classmethod
     def from_c(cls, c: float) -> "InfoTheoretic":
         if not c > 0.0:
             raise ValueError("c must be positive")
         return cls(rate=log2(1.0 + c))
-
-    @property
-    def c(self) -> float:
-        return 2.0 ** self.rate - 1.0
 
     @_sinr_formula(positive=False)
     def value(self, x):
@@ -177,20 +176,22 @@ EfficiencyModel = PacketSuccess | InfoTheoretic
 
 
 def _solve_sinr_equation(model: EfficiencyModel, coeff: float) -> float:
-    """Positive root of x*(1 - coeff*x)*f'(x) - f(x) = 0.
+    """Positive root of x*(1 - coeff*x)*f'(x) - f(x) = 0 for coeff >= 0, or 0.0 if none.
 
-    Returns 0.0 when the equation has no positive root, i.e. when marginal
-    efficiency never beats average efficiency (f effectively concave, as for
-    PacketSuccess m = 1); the optimum then sits on the boundary x -> 0.
+    InfoTheoretic's equation is c (1 - coeff x) = x, solved as c/(1 + coeff c), or as
+    1/coeff where coeff c overflows.  PacketSuccess(1) has no root, as x e^-x/(1 - e^-x)
+    < 1: 0.0, the boundary optimum x -> 0.  For m >= 2, g -> m - 1 > 0 as x -> 0.
     """
+    if isinstance(model, InfoTheoretic):
+        c = model.c
+        return c / (1.0 + coeff * c) if coeff * c < inf else 1.0 / coeff
+    if isinstance(model, PacketSuccess) and model.m == 1:
+        return 0.0
 
     def g(x: float) -> float:
         return x * (1.0 - coeff * x) * model.dlog(x) - 1.0
 
-    bracket = expand_bracket(g)
-    if bracket is None:
-        return 0.0
-    return bisect(g, *bracket)
+    return bisect(g, *expand_bracket(g))
 
 
 def solve_beta_star(model: EfficiencyModel) -> float:
@@ -251,10 +252,10 @@ def _single_crossing(model: EfficiencyModel) -> bool:
       d/de = (m-1)/(1-e)**2 > 0, so it falls strictly in x from +inf; h falls
       strictly from +inf to -inf and crosses exactly once.
     * PacketSuccess(1): f''/f' = -1, so h < 0 throughout and never crosses.
-    * InfoTheoretic: f''/f' = (c - 2x)/x**2 falls strictly on (0, c] from
-      +inf and is negative past c/2, so h falls strictly from +inf until it
-      turns negative and stays negative: exactly one crossing.  h is not
-      monotone past c, which is why this takes the sign argument.
+    * InfoTheoretic: h = 0 is linear in x.  With its positive denominators
+      cleared it reads (c - 2x)(n - (k-1)x) = 2(k-1)x**2, which is
+      c n = x (2n + (k-1) c), so h, which runs from +inf at 0 to -inf,
+      vanishes only at x0 = n/(k - 1 + 2n/c) and crosses exactly once.
     """
     if isinstance(model, PacketSuccess):
         return model.m >= 2
@@ -268,12 +269,14 @@ def check_op_condition(model: EfficiencyModel, k: int,
     """(ok, x0): the single-crossing condition and, when ok and k >= 2, its crossing.
 
     ok is vacuously true for k < 2 and else ``_single_crossing``'s answer; x0
-    is bisected on h over (0, n/(k-1)).
+    is InfoTheoretic's closed form (see there) or bisected on h over (0, n/(k-1)).
     """
     if k < 2:
         return True, None
     if not _single_crossing(model):
         return False, None
+    if isinstance(model, InfoTheoretic):
+        return True, n / (k - 1 + 2.0 * n / model.c)
 
     def h(x: float) -> float:
         return model.curvature_ratio(x) - 2.0 * (k - 1) / (n - (k - 1) * x)

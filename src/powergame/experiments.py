@@ -384,9 +384,7 @@ class Fig4Result:
 
 def max_supported_players(model, n: int) -> int:
     """Largest k with (k-1) * beta_star < n (one-shot equilibrium exists)."""
-    from .efficiency import solve_beta_star
-
-    beta = solve_beta_star(model)
+    beta = solve_all(model, 1, n).beta_star  # NoNashEquilibriumError if beta_star is 0
     return int(math.ceil(n / beta + 1.0)) - 1
 
 

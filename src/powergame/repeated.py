@@ -38,6 +38,8 @@ from .errors import NoFiniteT0Error, PowerGameError, SaturatedRegimeError
 from .static_game import ChannelState, NetworkConfig, _Columns, _equal_action, _require_one_shot
 from .static_game import _stage_payoffs, ne_action
 
+DETECTION_TOL = 1e-9  # relative departure of omega from its cooperative value that counts
+
 
 @dataclass(frozen=True)
 class FrgPlan:
@@ -342,7 +344,6 @@ class TriggerStrategy:
     ne_action: float
     caps: tuple[float, ...]
     expected_omega: float
-    detection_tol: float = 1e-9
 
     def phases(self, stages: int, punish_from: int | None = None) -> list[Phase]:
         """Phases of stages 1..stages: cooperate, endgame, then punish from punish_from."""
@@ -361,11 +362,11 @@ class TriggerStrategy:
         return action / gains2
 
     def deviation_seen(self, omega):
-        """True where omega leaves its cooperative value by more than the tolerance.
+        """True where omega leaves its cooperative value by more than DETECTION_TOL of it.
 
         ``omega`` is one stage's public signal or an array of them.
         """
-        return abs(omega - self.expected_omega) > self.detection_tol * self.expected_omega
+        return abs(omega - self.expected_omega) > DETECTION_TOL * self.expected_omega
 
 
 def make_machines(cfg: NetworkConfig, model: EfficiencyModel, plan: Plan,

@@ -1,7 +1,7 @@
 """Bracketed scalar root finding.
 
-All characteristic-SINR equations used here cross zero exactly once, from
-positive to negative.  The bracket is grown geometrically from 1 and then
+PacketSuccess's equations (InfoTheoretic's have closed forms) cross zero
+exactly once, from positive to negative.  The bracket is grown from 1 and
 collapsed to the float plain bisection would return: Illinois regula falsi
 finds the crossing in a dozen evaluations, and the bisection is replayed
 with the signs away from it taken as known.  No Newton steps: the second
@@ -16,18 +16,17 @@ from typing import Callable
 
 from .errors import SolverError
 
-BRACKET_FLOOR = 1e-12  # expand_bracket gives up below this
 MAX_STEPS = 200  # doublings, halvings or bisection steps, each loop at most
 REL_TOL = 1e-15  # bisection stops once hi - lo <= REL_TOL * hi
 GUARD_ULPS = 16  # the replay evaluates fn this close to the located crossing; see bisect
 
 
-def expand_bracket(fn: Callable[[float], float]) -> tuple[float, float] | None:
+def expand_bracket(fn: Callable[[float], float]) -> tuple[float, float]:
     """Find [lo, hi] with fn(lo) > 0 >= fn(hi) around a sign change.
 
     Doubles upward from 1 while fn is positive, halves downward while it is
-    negative.  Returns None when fn stays negative all the way down to
-    BRACKET_FLOOR, which callers interpret as "no positive root".
+    negative.  The caller guarantees a positive root: fn > 0 near 0 and
+    fn <= 0 far out.  SolverError after MAX_STEPS steps either way.
     """
     f0 = fn(1.0)
     if f0 == 0.0:
@@ -41,8 +40,6 @@ def expand_bracket(fn: Callable[[float], float]) -> tuple[float, float] | None:
         raise SolverError("no sign change found expanding up from 1.0")
     lo, hi = 0.5, 1.0
     for _ in range(MAX_STEPS):
-        if lo < BRACKET_FLOOR:
-            return None
         if fn(lo) > 0.0:
             return lo, hi
         lo, hi = 0.5 * lo, lo

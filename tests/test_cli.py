@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powergame.cli import main
+from powergame.efficiency import InfoTheoretic
 
 EQUAL_BOUNDS = {
     "model": {"family": "exp", "c": 0.5},
@@ -50,6 +51,22 @@ def test_solve_exponential_closed_forms():
     np.testing.assert_allclose(
         float(out["delta"]),
         float(out["phi_gamma_tilde"]) - float(out["phi_beta_star"]), rtol=1e-12)
+
+
+@pytest.mark.parametrize("c, printed", [("0.5", "0.5"), ("1e-12", "1.000088900582341e-12")])
+def test_solve_exponential_beta_star_is_c(c, printed):
+    # c = 1e-12 reaches c through log2(1 + c), so it prints as from_c's c
+    code, out = _run(["solve", "--model", "exp", "--c", c])
+    assert code == 0
+    assert out["beta_star"] == printed == repr(InfoTheoretic.from_c(float(c)).c)
+
+
+@pytest.mark.parametrize("rate", ["1e-17", "2000", "inf", "nan"])
+def test_rate_without_a_positive_finite_c_exits_1(rate, capsys):
+    code, out = _run(["solve", "--model", "exp", "--rate", rate])
+    assert code == 1 and out == {}
+    assert capsys.readouterr().err.startswith(
+        "error: c = 2**rate - 1 must be positive and finite, got c = ")
 
 
 def test_solve_single_player_folds_to_beta_star():
@@ -238,6 +255,14 @@ def test_dynamics_sweeps_without_a_one_shot_equilibrium_exit_4(tmp_path):
                network=dict(EQUAL_BOUNDS["network"], n=2))
     code, _ = _run(["bounds", "--scenario", _scenario(tmp_path, doc=doc)])
     assert code == 4
+
+
+def test_fig4_without_a_one_shot_equilibrium_exits_4(tmp_path, capsys):
+    # PacketSuccess(1) has beta_star = 0, so no load supports a one-shot equilibrium
+    code, _ = _run(["experiment", "fig4", "--out-dir", str(tmp_path), "--set", "m_values=[1]"])
+    assert code == 4
+    assert capsys.readouterr().err.startswith("error: efficiency model has no positive")
+    assert list(tmp_path.iterdir()) == []  # rejected before anything is written
 
 
 def test_dynamics_sweeps_reject_single_player_curves_and_bad_lambdas(tmp_path, capsys):

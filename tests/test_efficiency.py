@@ -1,10 +1,12 @@
 """Efficiency families and the characteristic SINR solvers."""
 
 import math
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from powergame.efficiency import (
@@ -353,7 +355,8 @@ def test_nan_sinr_is_outside_every_domain():
 
 
 def test_solve_gamma_tilde_bisects_only_its_root(monkeypatch):
-    # the single-crossing decision is a sign argument: no bisection on h
+    # the single-crossing decision is a sign argument: no bisection on h, and
+    # InfoTheoretic's root and crossing are closed forms: no bisection at all
     from powergame import efficiency
 
     calls = []
@@ -363,13 +366,94 @@ def test_solve_gamma_tilde_bisects_only_its_root(monkeypatch):
         return bisect(fn, lo, hi, *args, **kwargs)
 
     monkeypatch.setattr(efficiency, "bisect", counting_bisect)
-    for model in (PacketSuccess(10), InfoTheoretic(1.0)):
+    for model, bisections in ((PacketSuccess(10), 1), (InfoTheoretic(1.0), 0)):
         calls.clear()
         x = solve_gamma_tilde(model, 5, 16)
-        assert len(calls) == 1
+        assert len(calls) == bisections
         calls.clear()
         assert solve_gamma_tilde(model, 5, 16, check=False) == x
-        assert len(calls) == 1
+        assert len(calls) == bisections
         calls.clear()
         ok, x0 = check_op_condition(model, 5, 16)
-        assert ok and x0 is not None and len(calls) == 1
+        assert ok and x0 is not None and len(calls) == bisections
+
+
+def _closed_root(c, coeff):
+    # InfoTheoretic's characteristic root: c (1 - coeff x) = x
+    return c / (1.0 + coeff * c) if coeff * c < math.inf else 1.0 / coeff
+
+
+def _closed_crossing(c, k, n):
+    # InfoTheoretic's h = 0 with its denominators cleared: c n = x (2n + (k-1) c)
+    return n / (k - 1 + 2.0 * n / c)
+
+
+def _assert_near_exact(x, exact):
+    # within 2 ulps of the exact rational value: no overflow, underflow or cancellation
+    assert 0.0 < x < math.inf
+    assert abs(Fraction(x) - exact) <= 2 * Fraction(math.ulp(x))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(exponent=st.floats(math.log10(2.2e-16), 300.0), k=st.integers(1, 200),
+       n=st.integers(1, 256))
+@example(exponent=300.0, k=2, n=1)  # the leader's coeff c = c**2/n**2 overflows
+@example(exponent=160.0, k=2, n=256)
+@example(exponent=math.log10(2.2e-16), k=200, n=1)  # c = 2**-52
+@example(exponent=math.log10(1.7e308), k=2, n=256)
+def test_info_theoretic_sinrs_and_crossing_are_closed_forms(exponent, k, n):
+    from powergame import efficiency
+
+    model = InfoTheoretic.from_c(10.0 ** exponent)
+    c = model.c
+    tilde = (k - 1) / n
+    refuse = AssertionError("a numeric search ran on InfoTheoretic")
+    with mock.patch.object(efficiency, "bisect", side_effect=refuse), \
+            mock.patch.object(efficiency, "expand_bracket", side_effect=refuse):
+        beta = solve_beta_star(model)
+        gamma_tilde = solve_gamma_tilde(model, k, n)
+        ok, x0 = check_op_condition(model, k, n)
+        leader_feasible = k <= 2 or (k - 2) * c < n
+        if leader_feasible:
+            lead = leader_coefficient(k, n, c)
+            gamma_star = solve_gamma_star(model, k, n, c)
+        if (k - 1) * c < n:  # the one-shot equilibrium exists
+            sinrs = solve_all(model, k, n)
+    assert beta == c
+    assert gamma_tilde == _closed_root(c, tilde)
+    _assert_near_exact(gamma_tilde, Fraction(c) / (1 + Fraction(tilde) * Fraction(c)))
+    assert ok and x0 == (_closed_crossing(c, k, n) if k >= 2 else None)
+    if k >= 2:
+        _assert_near_exact(x0, Fraction(c) * n / (2 * n + (k - 1) * Fraction(c)))
+    if leader_feasible:
+        assert gamma_star == _closed_root(c, lead)
+        _assert_near_exact(gamma_star, Fraction(c) / (1 + Fraction(lead) * Fraction(c)))
+    if (k - 1) * c < n:
+        assert sinrs == CharacteristicSinrs(c, gamma_star, gamma_tilde, k, n)
+
+
+def test_packet_success_m1_answers_zero_without_evaluating_g(monkeypatch):
+    from powergame import efficiency
+
+    model = PacketSuccess(1)
+    # g < 0 throughout, as x e^-x/(1 - e^-x) = x/expm1(x) < 1; the float g from
+    # dlog rounds above 0 near x = 1e-9, where 1 - e^-x cancels
+    xs = np.geomspace(1e-12, 50.0, 400)
+    for coeff in (0.0, 0.25, 4.0):
+        assert np.all(xs * (1.0 - coeff * xs) / np.expm1(xs) < 1.0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("g was evaluated")
+
+    for name in ("bisect", "expand_bracket"):
+        monkeypatch.setattr(efficiency, name, refuse)
+    monkeypatch.setattr(PacketSuccess, "dlog", refuse)
+    assert solve_beta_star(model) == 0.0
+    assert solve_gamma_tilde(model, 3, 8, check=False) == 0.0
+    assert solve_gamma_star(model, 3, 8, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("rate", [1e-17, 2000.0, math.inf, math.nan, 0.0, -1.0])
+def test_info_theoretic_needs_a_positive_finite_c(rate):
+    with pytest.raises(ValueError, match=r"c = 2\*\*rate - 1 must be positive and finite, got c = "):
+        InfoTheoretic(rate)

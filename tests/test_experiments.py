@@ -15,7 +15,7 @@ from powergame.efficiency import (
     solve_all,
     solve_beta_star,
 )
-from powergame.errors import NoFiniteT0Error
+from powergame.errors import NoFiniteT0Error, NoNashEquilibriumError
 from powergame.experiments import (
     DEFAULT_SEED,
     RUNNERS,
@@ -245,6 +245,11 @@ def test_fig4_string_keyed_grids_accepted(tmp_path):
 def test_max_supported_players_pins():
     assert max_supported_players(PacketSuccess(10), 128) == 36
     assert max_supported_players(PacketSuccess(100), 128) == 20
+
+
+def test_max_supported_players_needs_a_positive_beta_star():
+    with pytest.raises(NoNashEquilibriumError, match="no positive selfish optimum"):
+        max_supported_players(PacketSuccess(1), 128)
 
 
 def test_fig5_small_run_shape_and_routes(tmp_path):

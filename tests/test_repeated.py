@@ -198,9 +198,9 @@ def test_truncation_horizon_brackets_the_tail():
         drg_truncation_horizon(0.0)
 
 
-def _strategy(plan, caps=(10.0,), tol=1e-9):
+def _strategy(plan, caps=(10.0,)):
     return TriggerStrategy(plan, coop_action=0.5, ne_action=1.0, caps=caps,
-                           expected_omega=2.0, detection_tol=tol)
+                           expected_omega=2.0)
 
 
 def test_strategy_phase_schedule_and_actions():
@@ -225,9 +225,11 @@ def test_degenerate_plan_is_all_endgame():
 
 
 def test_detection_is_relative_absorbing_and_cooperation_only():
-    strategy = _strategy(FrgPlan(t_total=10, t0=2), tol=1e-9)
+    strategy = _strategy(FrgPlan(t_total=10, t0=2))
     assert not strategy.deviation_seen(2.0)
     assert not strategy.deviation_seen(2.0 * (1 + 1e-12))  # inside the band
+    assert not strategy.deviation_seen(2.0 * (1 + 0.5 * repeated.DETECTION_TOL))
+    assert strategy.deviation_seen(2.0 * (1 - 2.0 * repeated.DETECTION_TOL))
     assert strategy.deviation_seen(2.2)
     big = TriggerStrategy(FrgPlan(10, 2), 0.5, 1.0, (10.0,), expected_omega=2e6)
     assert not big.deviation_seen(2e6 + 1e-4)  # 5e-11 relative
