@@ -30,7 +30,7 @@ from math import exp, expm1, isfinite, log10
 import numpy as np
 
 from .errors import ChannelConfigError
-from .static_game import ChannelState, NetworkConfig, _Columns
+from .static_game import ChannelState, NetworkConfig, _Columns, _write_table
 
 MIN_ACCEPTANCE = 1e-6
 _BULK_KEY_OFFSET = 2**32  # keeps bulk substreams disjoint from per-player keys
@@ -189,11 +189,9 @@ def draw_block(process: ChannelProcess, stages: int, substream: int = 0) -> np.n
 def write_channel_csv(path, draws: list[ChannelState]) -> None:
     """Columns t,player,gain2 with 1-based ids; replayable via read_channel_csv."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "player", "gain2"])
-        for t, state in enumerate(draws, start=1):
-            for i, g in enumerate(state.gains2, start=1):
-                writer.writerow([t, i, repr(float(g))])
+        _write_table(fh, ["t", "player", "gain2"],
+                     ([str(t), str(i), repr(float(g))] for t, state in enumerate(draws, start=1)
+                      for i, g in enumerate(state.gains2, start=1)))
 
 
 def read_channel_csv(path) -> list[ChannelState]:

@@ -40,7 +40,7 @@ import functools
 import operator
 import warnings
 from dataclasses import dataclass, field
-from math import inf, log2
+from math import inf, log, log1p
 
 import numpy as np
 
@@ -142,9 +142,12 @@ class InfoTheoretic:
 
     @classmethod
     def from_c(cls, c: float) -> "InfoTheoretic":
-        if not c > 0.0:
-            raise ValueError("c must be positive")
-        return cls(rate=log2(1.0 + c))
+        """The model with exactly this c, and rate log2(1 + c) taken through log1p."""
+        if not 0.0 < c < inf:
+            raise ValueError(f"c must be positive and finite, got c = {c}")
+        model = object.__new__(cls)  # 2**rate - 1 need not round back to c
+        vars(model).update(rate=log1p(c) / log(2.0), c=float(c))
+        return model
 
     @_sinr_formula(positive=False)
     def value(self, x):
@@ -315,6 +318,14 @@ class CharacteristicSinrs:
             raise ValueError("gamma_tilde must lie below n/(k-1)")
 
 
+def _require_one_shot(k: int, n: int, beta_star: float) -> None:
+    if k >= 2 and (k - 1) * beta_star >= n:
+        raise NoNashEquilibriumError(
+            "one-shot equilibrium requires 2 <= K < N/beta_star + 1 "
+            f"(K={k}, N={n}, beta_star={beta_star})"
+        )
+
+
 def solve_all(model: EfficiencyModel, k: int, n: int) -> CharacteristicSinrs:
     """Solve the three characteristic SINRs for one game."""
     bs = solve_beta_star(model)
@@ -323,10 +334,10 @@ def solve_all(model: EfficiencyModel, k: int, n: int) -> CharacteristicSinrs:
             "efficiency model has no positive selfish optimum (marginal efficiency "
             "never exceeds average efficiency); PacketSuccess needs m >= 2"
         )
-    return CharacteristicSinrs(
-        beta_star=bs,
-        gamma_star=solve_gamma_star(model, k, n, bs),
-        gamma_tilde=solve_gamma_tilde(model, k, n),
-        k=k,
-        n=n,
-    )
+    gamma_star = solve_gamma_star(model, k, n, bs)
+    gamma_tilde = solve_gamma_tilde(model, k, n)
+    # a c past about 2**53 n/(k-1) rounds gamma_tilde onto n/(k-1), far past the one-shot load
+    if k >= 2 and not gamma_tilde < n / (k - 1):
+        _require_one_shot(k, n, bs)
+    return CharacteristicSinrs(beta_star=bs, gamma_star=gamma_star, gamma_tilde=gamma_tilde,
+                               k=k, n=n)

@@ -21,7 +21,6 @@ checks every argument before it runs (``_runner``).
 
 from __future__ import annotations
 
-import csv
 import functools
 import inspect
 import json
@@ -46,6 +45,7 @@ from .static_game import (
     UtilityProfile,
     _equal_action,
     _leader_margin,
+    _write_table,
     ne_action,
     ne_profile,
     op_profile,
@@ -113,14 +113,15 @@ def _runner(name: str):
     return register
 
 
-def _cell(v):
+def _cell(v) -> str:
+    """A cell's text: 1/0 for a bool, repr for a float (numpy's too), empty for None."""
     if isinstance(v, bool):
-        return int(v)
+        return "1" if v else "0"
     if isinstance(v, float):
-        return repr(float(v))  # exact float repr, numpy scalars included
+        return repr(float(v))
     if v is None:
         return ""
-    return v
+    return str(v)
 
 
 def _cells(rows):
@@ -128,19 +129,13 @@ def _cells(rows):
 
 
 def _write_csv(path, experiment: str, config: dict, seed, columns, rows) -> None:
-    """Comment header, column names, then the rows as csv writes them.
-
-    csv writes a Python float as its repr and None as an empty field; rows
-    holding bools or numpy scalars go through ``_cells`` first.
-    """
+    """Comment header, then the column names and rows of string cells (``_cells``)."""
     with open(path, "w", newline="") as fh:
         fh.write(f"# experiment: {experiment}\n")
         fh.write(f"# config: {json.dumps(config, sort_keys=True)}\n")
         fh.write(f"# seed: {'none' if seed is None else seed}\n")
         fh.write(f"# version: {VERSION}\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(rows)
+        _write_table(fh, columns, rows)
 
 
 def _default_path(out_dir, name: str) -> str:
@@ -188,28 +183,50 @@ class Fig1Result:
 def _convexity_ratio(utils_norm: np.ndarray, bins: int) -> float:
     """Fraction of hull-interior occupancy bins that the samples reach.
 
-    Bins the sampled utility points, takes the convex hull of the occupied
-    bin centres, and reports occupied / inside-hull bin counts.  Near 1 for
+    Bins the sampled utility points and reports the occupied bins over the
+    bins inside or on their convex hull (``_hull_lattice_points``).  Near 1 for
     a convex region (boundary bins cost a little); holes pull it down
     (an L-shaped set scores ~0.87, a crescent ~0.62).  The default bin count
     is calibrated so occupancy is limited by shape, not by the sampling
     density of the default 200-per-axis power grid.
     """
-    from scipy.spatial import Delaunay
-
     u1, u2 = utils_norm[:, 0], utils_norm[:, 1]
     span1 = u1.max() * (1 + 1e-9) or 1.0
     span2 = u2.max() * (1 + 1e-9) or 1.0
-    counts, e1, e2 = np.histogram2d(u1, u2, bins=bins,
-                                    range=[[0.0, span1], [0.0, span2]])
-    c1 = 0.5 * (e1[:-1] + e1[1:])
-    c2 = 0.5 * (e2[:-1] + e2[1:])
-    gx, gy = np.meshgrid(c1, c2, indexing="ij")
-    centres = np.column_stack([gx.ravel(), gy.ravel()])
-    occupied = counts.ravel() > 0
-    tri = Delaunay(centres[occupied])
-    inside = tri.find_simplex(centres) >= 0
-    return float(occupied.sum() / inside.sum())
+    counts, _, _ = np.histogram2d(u1, u2, bins=bins, range=[[0.0, span1], [0.0, span2]])
+    occupied = counts > 0
+    return int(occupied.sum()) / _hull_lattice_points(occupied)
+
+
+def _hull_lattice_points(occupied: np.ndarray) -> int:
+    """Integer points (i, j) inside or on the convex hull of the True cells of `occupied`.
+
+    Exact, and so free of the bins' scales: the hull of a row's cells is the
+    segment between its lowest and highest, so Andrew's monotone chain runs
+    on those with integer cross products.  Pick's theorem counts the closed
+    hull's points, (2A + B)/2 + 1, from the shoelace sum 2A and the points
+    B = sum gcd(|dx|, |dy|) on its edges.  One cell counts 1, a segment gcd + 1.
+    """
+    rows = np.flatnonzero(occupied.any(axis=1)).tolist()
+    lows = occupied.argmax(axis=1).tolist()
+    highs = (occupied.shape[1] - 1 - occupied[:, ::-1].argmax(axis=1)).tolist()
+    points = [(i, j) for i in rows for j in dict.fromkeys((lows[i], highs[i]))]
+
+    def half(chain):  # one side of the hull, turning counter-clockwise
+        out = []
+        for x, y in chain:
+            while len(out) >= 2 and ((out[-1][0] - out[-2][0]) * (y - out[-2][1])
+                                     - (out[-1][1] - out[-2][1]) * (x - out[-2][0])) <= 0:
+                out.pop()
+            out.append((x, y))
+        return out[:-1]
+
+    hull = half(points) + half(points[::-1])  # empty for a single point
+    twice_area = boundary = 0
+    for (x0, y0), (x1, y1) in zip(hull, hull[1:] + hull[:1]):
+        twice_area += x0 * y1 - x1 * y0
+        boundary += math.gcd(x1 - x0, y1 - y0)
+    return (abs(twice_area) + boundary) // 2 + 1
 
 
 @_runner("fig1")
@@ -237,12 +254,13 @@ def fig1_region(region_path=None, points_path=None, out_dir=".",
     powers, utils_norm = sample_utility_region(model, cfg, ch, points_per_axis)
     region_path = region_path or _default_path(out_dir, "fig1_region")
     # the grid is row-major over two axes of points_per_axis powers each:
-    # format each axis once, and let csv write the utilities
+    # format each axis once, and each utility as it comes
     p1, p2 = ([repr(p) for p in axis.tolist()] for axis in
               (powers[::points_per_axis, 0], powers[:points_per_axis, 1]))
     _write_csv(region_path, "fig1_region", config, None,
                ["p1", "p2", "u1_norm", "u2_norm"],
-               zip([p for p in p1 for _ in p2], p2 * len(p1), *utils_norm.T.tolist()))
+               zip([p for p in p1 for _ in p2], p2 * len(p1),
+                   *(map(repr, u) for u in utils_norm.T.tolist())))
 
     g2 = np.asarray(gains2)
     best = int(np.argmax((utils_norm * g2).sum(axis=1)))

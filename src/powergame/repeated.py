@@ -33,10 +33,10 @@ from math import ceil, floor, log
 import numpy as np
 
 from .channel import GainPath
-from .efficiency import EfficiencyModel, equal_action_utility
+from .efficiency import EfficiencyModel, _require_one_shot, equal_action_utility
 from .errors import NoFiniteT0Error, PowerGameError, SaturatedRegimeError
-from .static_game import ChannelState, NetworkConfig, _Columns, _equal_action, _require_one_shot
-from .static_game import _stage_payoffs, ne_action
+from .static_game import ChannelState, NetworkConfig, _Columns, _equal_action
+from .static_game import _stage_payoffs, _write_table, ne_action
 
 DETECTION_TOL = 1e-9  # relative departure of omega from its cooperative value that counts
 
@@ -564,7 +564,7 @@ def trace_to_csv(path, trace: Trace) -> None:
     """One row per (stage, player): t,player,gain2,power,sinr,utility,omega,phase,deviated.
 
     Each of the ``Trace``'s columns is formatted once, floats by ``repr``, and
-    the rows are joined as ``csv.writer`` writes them: no cell needs quoting.
+    the rows are joined by ``static_game._write_table``.
     """
     stages, k = trace.powers.shape
 
@@ -578,5 +578,4 @@ def trace_to_csv(path, trace: Trace) -> None:
                (label for labels in trace.phases for label in labels),
                per_player("1" if flag else "0" for flag in trace.deviation_detected.tolist()))
     with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(["t,player,gain2,power,sinr,utility,omega,phase,deviated",
-                                *map(",".join, rows), ""]))
+        _write_table(fh, "t,player,gain2,power,sinr,utility,omega,phase,deviated".split(","), rows)

@@ -12,14 +12,13 @@ profiles below equalise actions, not powers.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .efficiency import EfficiencyModel
+from .efficiency import EfficiencyModel, _require_one_shot
 from .errors import NoNashEquilibriumError, SaturatedRegimeError
 
 
@@ -229,14 +228,6 @@ def _actions_to_profile(cfg: NetworkConfig, ch: ChannelState, actions: np.ndarra
     return PowerProfile(tuple(p))
 
 
-def _require_one_shot(k: int, n: int, beta_star: float) -> None:
-    if k >= 2 and (k - 1) * beta_star >= n:
-        raise NoNashEquilibriumError(
-            "one-shot equilibrium requires 2 <= K < N/beta_star + 1 "
-            f"(K={k}, N={n}, beta_star={beta_star})"
-        )
-
-
 def ne_action(cfg: NetworkConfig, beta_star: float) -> float:
     """Received action of the one-shot equilibrium: sigma2*b/(n - (k-1)b)."""
     _require_one_shot(cfg.k, cfg.n, beta_star)
@@ -338,13 +329,15 @@ def sample_utility_region(model: EfficiencyModel, cfg: NetworkConfig, ch: Channe
     return powers, _stage_payoffs(model, cfg, g2, powers)[1] / g2
 
 
+def _write_table(fh, columns, rows) -> None:
+    """Column names and rows of string cells, as ``csv.writer`` writes them unquoted."""
+    fh.write("\r\n".join([",".join(columns), *map(",".join, rows), ""]))
+
+
 def region_to_csv(path, powers: np.ndarray, utils_norm: np.ndarray) -> None:
     """Write sampled region rows as p1..pK,u1_norm..uK_norm."""
     k = powers.shape[1]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"p{i + 1}" for i in range(k)]
-                        + [f"u{i + 1}_norm" for i in range(k)])
-        for prow, urow in zip(powers, utils_norm):
-            writer.writerow([repr(float(v)) for v in prow]
-                            + [repr(float(v)) for v in urow])
+        _write_table(fh, [f"p{i + 1}" for i in range(k)] + [f"u{i + 1}_norm" for i in range(k)],
+                     (list(map(repr, row)) for row in
+                      np.hstack([powers, utils_norm]).astype(float).tolist()))

@@ -53,12 +53,23 @@ def test_solve_exponential_closed_forms():
         float(out["phi_gamma_tilde"]) - float(out["phi_beta_star"]), rtol=1e-12)
 
 
-@pytest.mark.parametrize("c, printed", [("0.5", "0.5"), ("1e-12", "1.000088900582341e-12")])
+@pytest.mark.parametrize("c, printed", [("0.5", "0.5"), ("1e-12", "1e-12")])
 def test_solve_exponential_beta_star_is_c(c, printed):
-    # c = 1e-12 reaches c through log2(1 + c), so it prints as from_c's c
+    # from_c keeps the c it is given, however small
     code, out = _run(["solve", "--model", "exp", "--c", c])
     assert code == 0
     assert out["beta_star"] == printed == repr(InfoTheoretic.from_c(float(c)).c)
+
+
+@pytest.mark.parametrize("c", ["1e17", "1e300"])
+def test_solve_past_the_one_shot_load_exits_4_at_any_c(c, tmp_path, capsys):
+    # at 1e300, gamma_tilde rounds onto n/(k-1): the load is still what is reported
+    code, out = _run(["solve", "--model", "exp", "--c", c, "--k", "2", "--n", "16"])
+    assert code == 4 and out == {}
+    assert "one-shot equilibrium requires" in capsys.readouterr().err
+    scenario = _scenario(tmp_path, model={"family": "exp", "c": float(c)})
+    code, out = _run(["bounds", "--scenario", scenario])
+    assert code == 4 and out == {}
 
 
 @pytest.mark.parametrize("rate", ["1e-17", "2000", "inf", "nan"])

@@ -1,6 +1,7 @@
 """Efficiency families and the characteristic SINR solvers."""
 
 import math
+import pickle
 from fractions import Fraction
 from unittest import mock
 
@@ -457,3 +458,24 @@ def test_packet_success_m1_answers_zero_without_evaluating_g(monkeypatch):
 def test_info_theoretic_needs_a_positive_finite_c(rate):
     with pytest.raises(ValueError, match=r"c = 2\*\*rate - 1 must be positive and finite, got c = "):
         InfoTheoretic(rate)
+
+
+@given(st.floats(1e-300, 1e300))
+@example(1e-12)
+@example(2.0 ** -52)
+@example(1e-300)
+@example(1e300)
+@settings(max_examples=300, deadline=None)
+def test_from_c_keeps_c_exactly(c):
+    model = InfoTheoretic.from_c(c)
+    assert model.c == c and pickle.loads(pickle.dumps(model)).c == c
+    # its rate is log2(1 + c) to within a few ulps: 2**rate - 1 comes back to c
+    assert 0.0 < model.rate < 1000.0
+    assert math.isclose(math.expm1(model.rate * math.log(2.0)), c, rel_tol=1e-12)
+    assert solve_beta_star(model) == c
+
+
+@pytest.mark.parametrize("c", [0.0, -1.0, math.inf, math.nan])
+def test_from_c_needs_a_positive_finite_c(c):
+    with pytest.raises(ValueError, match="c must be positive and finite, got c = "):
+        InfoTheoretic.from_c(c)

@@ -2,13 +2,18 @@
 
 import inspect
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import Delaunay, QhullError
 
+import powergame
 from powergame.efficiency import (
     PacketSuccess,
     equal_action_utility,
@@ -19,6 +24,8 @@ from powergame.errors import NoFiniteT0Error, NoNashEquilibriumError
 from powergame.experiments import (
     DEFAULT_SEED,
     RUNNERS,
+    _convexity_ratio,
+    _hull_lattice_points,
     fig1_region,
     fig2_dynamics_vs_t,
     fig3_dynamics_vs_lambda,
@@ -35,7 +42,7 @@ from powergame.repeated import (
     lambda_bound,
     t0_bound,
 )
-from powergame.static_game import NetworkConfig
+from powergame.static_game import ChannelState, NetworkConfig, sample_utility_region
 
 # hand-derived admissibility coefficients delta / ((k-1) f(b) - delta) for the
 # m=2 sweep curves; the stopping-probability sweep's max ratio is coeff*(1-x)/x
@@ -82,6 +89,102 @@ def test_fig1_small_grid_marks_and_flags(tmp_path):
     plines = _read_lines(res.points_path)
     assert plines[4] == "kind,p1,p2,u1_norm,u2_norm,saturated"
     assert len(plines) == 5 + 4
+
+
+def _qhull_inside(occupied):
+    """Bins that qhull places in the hull of the occupied bins, in bin-index coordinates.
+
+    A bin off the hull lies at least 1/|edge| index units from it, so a
+    barycentric tolerance of 1e-9 only keeps the bins on its edges in.
+    """
+    cells = np.argwhere(np.ones_like(occupied)).astype(float)
+    return int((Delaunay(cells[occupied.ravel()]).find_simplex(cells, tol=1e-9) >= 0).sum())
+
+
+def _occupancy_of(utils_norm, bins):
+    """The occupied bins of the convexity ratio's histogram."""
+    u1, u2 = utils_norm[:, 0], utils_norm[:, 1]
+    span1 = u1.max() * (1 + 1e-9) or 1.0
+    span2 = u2.max() * (1 + 1e-9) or 1.0
+    return np.histogram2d(u1, u2, bins=bins, range=[[0.0, span1], [0.0, span2]])[0] > 0
+
+
+def _flat(occupied):
+    """Whether the occupied bins lie on one line (qhull cannot triangulate them)."""
+    cells = np.argwhere(occupied)
+    return np.linalg.matrix_rank(cells - cells[0]) < 2
+
+
+@st.composite
+def _occupancy(draw):
+    bins = draw(st.integers(2, 40))
+    cells = draw(st.sets(st.tuples(st.integers(0, bins - 1), st.integers(0, bins - 1)),
+                         min_size=1, max_size=60))
+    occupied = np.zeros((bins, bins), dtype=bool)
+    occupied[tuple(np.array(sorted(cells)).T)] = True
+    return occupied
+
+
+@given(_occupancy())
+@settings(max_examples=150, deadline=None)
+def test_hull_lattice_count_matches_qhull_on_random_occupancy(occupied):
+    assume(not _flat(occupied))
+    assert _hull_lattice_points(occupied) == _qhull_inside(occupied)
+
+
+@given(st.integers(1, 20), st.integers(1, 16), st.floats(0.2, 5.0), st.floats(0.2, 5.0),
+       st.floats(0.2, 3.0), st.floats(1e-4, 1e-1), st.integers(4, 60), st.integers(2, 40))
+@settings(max_examples=60, deadline=None)
+def test_convexity_ratio_matches_qhull_on_sampled_regions(m, n, g1, g2, rate, sigma2,
+                                                          points, bins):
+    cfg = NetworkConfig(k=2, n=n, sigma2=sigma2, rates=(rate, 1.0), p_max=(1e-2, 1e-2),
+                        eta_min=(g1, g2), eta_max=(g1, g2))
+    _, utils_norm = sample_utility_region(PacketSuccess(m), cfg, ChannelState((g1, g2)),
+                                          points)
+    occupied = _occupancy_of(utils_norm, bins)
+    assume(not _flat(occupied))
+    assert _convexity_ratio(utils_norm, bins) == occupied.sum() / _qhull_inside(occupied)
+
+
+def test_convexity_ratio_of_degenerate_occupancy():
+    # one bin, or bins on one line: qhull refuses them; the count is exact
+    one = np.zeros((5, 5), dtype=bool)
+    one[2, 3] = True
+    line = np.zeros((8, 8), dtype=bool)
+    line[[0, 2, 3, 6], [0, 2, 3, 6]] = True  # the diagonal (0, 0)-(6, 6): 7 points
+    column = np.zeros((8, 8), dtype=bool)
+    column[4, [1, 7]] = True
+    assert [_hull_lattice_points(o) for o in (one, line, column)] == [1, 7, 7]
+    for occupied in (one, line, column):
+        with pytest.raises(QhullError):
+            _qhull_inside(occupied)
+
+    assert _convexity_ratio(np.full((10, 2), 0.5), 24) == 1.0
+    diagonal = np.repeat(np.linspace(0.0, 1.0, 24)[:, None], 2, axis=1)
+    assert _convexity_ratio(diagonal, 24) == 1.0
+    # 8 samples that land in bins 0, 3, 6, 10, 13, 17, 20 and 23 of the diagonal
+    assert _convexity_ratio(diagonal[::3], 24) == 8 / 24
+
+
+def test_convexity_ratio_does_not_depend_on_the_spans():
+    # an L along both axes: 9 of the 15 bins of the triangle (0, 0), (4, 0), (0, 4)
+    axis = np.linspace(0.0, 1.0, 5)
+    corner = np.concatenate([np.column_stack([axis, 0 * axis]), np.column_stack([0 * axis, axis])])
+    for scale in (1.0, 1e-6, 1e-12):
+        assert _convexity_ratio(corner * [1.0, scale], 5) == 9 / 15
+        assert _convexity_ratio(corner * [scale, 1.0], 5) == 9 / 15
+
+
+def test_fig1_leaves_scipy_unimported(tmp_path):
+    code = ("import sys\n"
+            "from powergame.experiments import fig1_region\n"
+            f"fig1_region(out_dir={str(tmp_path)!r}, points_per_axis=20, hull_bins=6)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = str(Path(powergame.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_fig2_matches_the_closed_form_boundary(tmp_path):
