@@ -61,6 +61,7 @@ from .repeated import (
     _bound_terms,
     averaged_utility_drg,
     averaged_utility_frg,
+    delta_gain,
     drg_truncation_horizon,
     lambda_bound,
     make_machines,
@@ -221,7 +222,7 @@ def cmd_solve(args) -> int:
     _emit("gamma_tilde", sinrs.gamma_tilde)
     _emit("phi_beta_star", phi_ne)
     _emit("phi_gamma_tilde", phi_op)
-    _emit("delta", phi_op - phi_ne)
+    _emit("delta", delta_gain(model, args.k, args.n, sinrs.beta_star, sinrs.gamma_tilde))
     return 0
 
 

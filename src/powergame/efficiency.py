@@ -16,10 +16,10 @@ coefficient A >= 0:
 * A = (k-1)/n gives the cooperative operating SINR (``gamma_tilde``),
 * A built from beta_star gives the hierarchical leader SINR (``gamma_star``).
 
-InfoTheoretic roots have the closed form c/(1 + A*c).  PacketSuccess roots
-are bracketed and refined to the float plain bisection returns:
-``roots.bisect`` locates the crossing by regula falsi and replays the
-bisection, evaluating only near the root, on the ratio form
+Each family solves it in ``_root(A)``: InfoTheoretic in the closed form
+c/(1 + A*c), PacketSuccess bracketed and refined to the float plain bisection
+returns (``roots.bisect`` locates the crossing by regula falsi and replays the
+bisection, evaluating only near the root) on the ratio form
 x*(1 - A*x)*f'(x)/f(x) - 1, finite where f underflows (tiny SINR, large m).
 
 Every function of the SINR goes through one decorator, ``_sinr_formula``,
@@ -29,9 +29,10 @@ array; ``value`` and ``equal_action_utility`` can differ by 1 ulp from the
 1-d array kernel at m >= 3 (numpy's vector power loop against scalar pow).
 
 The cooperative root is unique when h(x) = f''/f' - 2(k-1)/(n-(k-1)x)
-changes sign exactly once, from + to -, on (0, n/(k-1)).  Both families
-settle this by a sign argument instead of a numeric scan (see
-``_single_crossing``).
+changes sign exactly once, from + to -, on (0, n/(k-1)); the subtracted term
+is positive and increasing there, and h -> -inf at the right end.  Each family
+settles this for all k >= 2 and n by a sign argument in its ``single_crossing``
+flag, and gives the zero of h as ``_crossing(k, n)``.
 """
 
 from __future__ import annotations
@@ -125,13 +126,37 @@ class PacketSuccess:
         e = np.exp(-x)
         return (self.m * e - 1.0) / (1.0 - e)
 
+    @property
+    def single_crossing(self) -> bool:
+        """f''/f' = (m e - 1)/(1 - e), e = exp(-x), has d/de = (m-1)/(1-e)**2: for m >= 2
+        it falls strictly in x from +inf, and h with it, once through 0.  For m = 1
+        it is -1, and h < 0 throughout."""
+        return self.m >= 2
+
+    def _root(self, coeff: float) -> float:
+        """The root of g = x (1 - coeff x) f'/f - 1, which tends to m - 1 > 0 at 0 for m >= 2.
+        m = 1 has none, as x e^-x/(1 - e^-x) < 1: 0.0, the boundary optimum x -> 0."""
+        if self.m == 1:
+            return 0.0
+
+        def g(x: float) -> float:
+            return x * (1.0 - coeff * x) * self.dlog(x) - 1.0
+
+        return bisect(g, *expand_bracket(g))
+
+    def _crossing(self, k: int, n: int) -> float:
+        def h(x: float) -> float:
+            return self.curvature_ratio(x) - 2.0 * (k - 1) / (n - (k - 1) * x)
+
+        return bisect(h, 0.0, n / (k - 1))
+
 
 @dataclass(frozen=True)
 class InfoTheoretic:
     """Efficiency f(x) = exp(-c/x), c = 2**rate - 1, with f(0) = 0."""
 
-    rate: float
-    c: float = field(init=False, repr=False, compare=False)  # 2**rate - 1, set once
+    rate: float = field(compare=False)  # every formula, == and hash read c
+    c: float = field(init=False, repr=False)  # 2**rate - 1, set once
 
     def __post_init__(self):
         object.__setattr__(self, "rate", float(self.rate))
@@ -174,50 +199,44 @@ class InfoTheoretic:
     def curvature_ratio(self, x):
         return (self.c - 2.0 * x) / (x * x)
 
+    # h = 0 is linear in x (see _crossing): h, from +inf at 0 to -inf, crosses once
+    single_crossing = True
+
+    def _root(self, coeff: float) -> float:
+        """c (1 - coeff x) = x: c/(1 + coeff c), or 1/coeff where coeff c overflows."""
+        c = self.c
+        return c / (1.0 + coeff * c) if coeff * c < inf else 1.0 / coeff
+
+    def _crossing(self, k: int, n: int) -> float:
+        """h = 0 with its positive denominators cleared, (c - 2x)(n - (k-1)x) =
+        2(k-1)x**2, reads c n = x (2n + (k-1) c): x0 = n/(k - 1 + 2n/c)."""
+        return n / (k - 1 + 2.0 * n / self.c)
+
 
 EfficiencyModel = PacketSuccess | InfoTheoretic
 
 
-def _solve_sinr_equation(model: EfficiencyModel, coeff: float) -> float:
-    """Positive root of x*(1 - coeff*x)*f'(x) - f(x) = 0 for coeff >= 0, or 0.0 if none.
-
-    InfoTheoretic's equation is c (1 - coeff x) = x, solved as c/(1 + coeff c), or as
-    1/coeff where coeff c overflows.  PacketSuccess(1) has no root, as x e^-x/(1 - e^-x)
-    < 1: 0.0, the boundary optimum x -> 0.  For m >= 2, g -> m - 1 > 0 as x -> 0.
-    """
-    if isinstance(model, InfoTheoretic):
-        c = model.c
-        return c / (1.0 + coeff * c) if coeff * c < inf else 1.0 / coeff
-    if isinstance(model, PacketSuccess) and model.m == 1:
-        return 0.0
-
-    def g(x: float) -> float:
-        return x * (1.0 - coeff * x) * model.dlog(x) - 1.0
-
-    return bisect(g, *expand_bracket(g))
-
-
 def solve_beta_star(model: EfficiencyModel) -> float:
     """SINR where a player stops gaining from more power: x f'(x) = f(x)."""
-    return _solve_sinr_equation(model, 0.0)
+    return model._root(0.0)
 
 
-def solve_gamma_tilde(model: EfficiencyModel, k: int, n: int, check: bool = True) -> float:
+def solve_gamma_tilde(model: EfficiencyModel, k: int, n: int) -> float:
     """Cooperative operating SINR: root of x (1 - (k-1)x/n) f'(x) = f(x).
 
     For k = 1 there is no interference term and this is solve_beta_star.
-    With `check`, a UniquenessRiskWarning is emitted (and the root still
-    returned) when ``_single_crossing`` fails.
+    A UniquenessRiskWarning is emitted (and the root still returned) when
+    the family fails its ``single_crossing`` argument.
     """
     if k <= 1:
         return solve_beta_star(model)
-    if check and not _single_crossing(model):
+    if not model.single_crossing:
         warnings.warn(
             "single-crossing condition failed; operating point may not be unique",
             UniquenessRiskWarning,
             stacklevel=2,
         )
-    return _solve_sinr_equation(model, (k - 1) / n)
+    return model._root((k - 1) / n)
 
 
 def leader_coefficient(k: int, n: int, beta_star: float) -> float:
@@ -242,49 +261,17 @@ def solve_gamma_star(model: EfficiencyModel, k: int, n: int, beta_star: float) -
     """Leader SINR of the hierarchical (leader-follower) equilibrium."""
     if k <= 1:
         return beta_star
-    return _solve_sinr_equation(model, leader_coefficient(k, n, beta_star))
-
-
-def _single_crossing(model: EfficiencyModel) -> bool:
-    """Whether h = f''/f' - 2(k-1)/(n-(k-1)x) falls through zero once for all k >= 2, n.
-
-    The subtracted term is positive and strictly increasing on (0, n/(k-1)),
-    with h -> -inf at the right end.  Each family settles it by a sign argument:
-
-    * PacketSuccess(m >= 2): f''/f' = (m e - 1)/(1 - e) with e = exp(-x) has
-      d/de = (m-1)/(1-e)**2 > 0, so it falls strictly in x from +inf; h falls
-      strictly from +inf to -inf and crosses exactly once.
-    * PacketSuccess(1): f''/f' = -1, so h < 0 throughout and never crosses.
-    * InfoTheoretic: h = 0 is linear in x.  With its positive denominators
-      cleared it reads (c - 2x)(n - (k-1)x) = 2(k-1)x**2, which is
-      c n = x (2n + (k-1) c), so h, which runs from +inf at 0 to -inf,
-      vanishes only at x0 = n/(k - 1 + 2n/c) and crosses exactly once.
-    """
-    if isinstance(model, PacketSuccess):
-        return model.m >= 2
-    if isinstance(model, InfoTheoretic):
-        return True
-    raise TypeError(f"no single-crossing argument for {type(model).__name__}")
+    return model._root(leader_coefficient(k, n, beta_star))
 
 
 def check_op_condition(model: EfficiencyModel, k: int,
                        n: int) -> tuple[bool, float | None]:
-    """(ok, x0): the single-crossing condition and, when ok and k >= 2, its crossing.
+    """(ok, x0): the family's ``single_crossing`` and, when ok, its ``_crossing``.
 
-    ok is vacuously true for k < 2 and else ``_single_crossing``'s answer; x0
-    is InfoTheoretic's closed form (see there) or bisected on h over (0, n/(k-1)).
-    """
+    Vacuously (True, None) for k < 2."""
     if k < 2:
         return True, None
-    if not _single_crossing(model):
-        return False, None
-    if isinstance(model, InfoTheoretic):
-        return True, n / (k - 1 + 2.0 * n / model.c)
-
-    def h(x: float) -> float:
-        return model.curvature_ratio(x) - 2.0 * (k - 1) / (n - (k - 1) * x)
-
-    return True, bisect(h, 0.0, n / (k - 1))
+    return (True, model._crossing(k, n)) if model.single_crossing else (False, None)
 
 
 @_sinr_formula(positive=True)
@@ -335,7 +322,7 @@ def solve_all(model: EfficiencyModel, k: int, n: int) -> CharacteristicSinrs:
             "never exceeds average efficiency); PacketSuccess needs m >= 2"
         )
     gamma_star = solve_gamma_star(model, k, n, bs)
-    gamma_tilde = solve_gamma_tilde(model, k, n)
+    gamma_tilde = solve_gamma_tilde(model, k, n) if k >= 2 else bs
     # a c past about 2**53 n/(k-1) rounds gamma_tilde onto n/(k-1), far past the one-shot load
     if k >= 2 and not gamma_tilde < n / (k - 1):
         _require_one_shot(k, n, bs)

@@ -57,6 +57,7 @@ from .static_game import (
 
 DEFAULT_SEED = 1729
 RUNNERS = {}  # experiment name -> runner, filled by @_runner at import
+_COUNTS = ("replicas", "t_grid", "t_multiples")  # runner arguments of integers >= 1
 
 
 def _floats(value):
@@ -81,9 +82,9 @@ def _runner(name: str):
 
     Before anything runs or is written, each argument must be of its
     default's kind: a sequence for a tuple, an integer for an int and a
-    number for a float, never a bool.  NaN is never an argument, and +inf
-    only as eta_max (no upper cut on the gains).  A ValueError names the
-    experiment and the argument.
+    number for a float, never a bool.  Replicas and horizons (``_COUNTS``) are
+    integers >= 1.  NaN is never an argument, and +inf only as eta_max (no
+    upper cut on the gains).  A ValueError names the experiment and the argument.
     """
     def register(fn):
         params = inspect.signature(fn).parameters
@@ -98,11 +99,15 @@ def _runner(name: str):
                 want = kinds.get(key)
                 if want and (isinstance(value, bool) or not isinstance(value, want[0])):
                     problem = want[1]
-                elif all(math.isfinite(v) or (key, v) == ("eta_max", math.inf)
-                         for v in _floats(value)):
-                    continue
-                else:
+                elif not all(math.isfinite(v) or (key, v) == ("eta_max", math.inf)
+                             for v in _floats(value)):
                     problem = "finite numbers"
+                elif key in _COUNTS and not all(
+                        isinstance(v, Integral) and not isinstance(v, bool) and v >= 1
+                        for v in ([value] if isinstance(value, Integral) else value)):
+                    problem = "integers >= 1"
+                else:
+                    continue
                 raise ValueError(f"{name} needs {problem} in {key}, "
                                  f"got {json.dumps(value, default=repr)}")
             return fn(*args, **kwargs)

@@ -11,11 +11,13 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from powergame.channel import ChannelProcess, ChannelMode, draw_block
 from powergame.efficiency import (
     InfoTheoretic,
     PacketSuccess,
+    UniquenessRiskWarning,
     leader_coefficient,
     solve_all,
     solve_beta_star,
@@ -121,7 +123,7 @@ def test_criterion_01_exponential_closed_forms():
                 continue
             model = InfoTheoretic.from_c(c)
             beta = solve_beta_star(model)
-            tilde = solve_gamma_tilde(model, k, n, check=False)
+            tilde = solve_gamma_tilde(model, k, n)
             star = solve_gamma_star(model, k, n, beta)
             coeff = leader_coefficient(k, n, c)
             expect = (c, c / (1.0 + c * (k - 1) / n), c / (1.0 + c * coeff))
@@ -156,7 +158,9 @@ def test_criterion_02_packet_root_residuals():
             model = PacketSuccess(m)
             beta = solve_beta_star(model)
             for k, n in ((2, 2), (3, 24)):
-                tilde = solve_gamma_tilde(model, k, n, check=False)
+                with (pytest.warns(UniquenessRiskWarning) if m == 1
+                      else contextlib.nullcontext()):
+                    tilde = solve_gamma_tilde(model, k, n)
                 star = solve_gamma_star(model, k, n, beta)
                 for x, coeff in ((beta, 0.0),
                                  (tilde, (k - 1) / n),

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -86,6 +87,18 @@ def test_solve_single_player_folds_to_beta_star():
     assert out["gamma_tilde"] == out["beta_star"]
     np.testing.assert_allclose(float(out["beta_star"]), 1.2564312086261697,
                                rtol=1e-9)
+
+
+
+def test_solve_reports_the_surplus_bounds_reports(tmp_path):
+    # phi_gamma_tilde - phi_beta_star rounds to -5.6e-17 here; the surplus is 0.0
+    argv = ["--model", "pkt", "--m", "2", "--k", "2", "--n", "1000000000000"]
+    code, out = _run(["solve", *argv])
+    assert code == 0 and out["delta"] == "0.0"
+    doc = dict(EQUAL_BOUNDS, model={"family": "pkt", "m": 2},
+               network=dict(EQUAL_BOUNDS["network"], n=1000000000000))
+    code, bounds = _run(["bounds", "--scenario", _scenario(tmp_path, doc=doc)])
+    assert code == 0 and bounds["delta"] == out["delta"]
 
 
 def test_usage_error_exits_2():
@@ -286,6 +299,46 @@ def test_dynamics_sweeps_reject_single_player_curves_and_bad_lambdas(tmp_path, c
                     "--set", "lambda_grid=[0.1, 0.0]"])
     assert code == 1
     assert list(tmp_path.iterdir()) == []
+
+
+
+@pytest.mark.parametrize("name, argv, key", [
+    ("fig4", ["--replicas", "0"], "replicas"),
+    ("fig5", ["--replicas", "0"], "replicas"),
+    ("fig5", ["--set", "t_multiples=[1, 0]"], "t_multiples"),
+    ("fig2", ["--set", "t_grid=[0, -3]"], "t_grid"),
+    ("fig2", ["--set", "t_grid=[2.5]"], "t_grid"),
+])
+def test_runner_counts_and_horizons_below_one_exit_1(tmp_path, capsys, name, argv, key):
+    code, out = _run(["experiment", name, "--out-dir", str(tmp_path), *argv])
+    assert code == 1 and out == {}
+    assert capsys.readouterr().err.startswith(f"error: {name} needs integers >= 1 in {key}")
+    assert list(tmp_path.iterdir()) == []
+
+
+# reduced sizes, and the keys each experiment prints; the paths among them must exist
+EXPERIMENT_RUNS = {
+    "fig1": (["--set", "points_per_axis=12", "--set", "hull_bins=4"],
+             {"region", "points", "op_within_one_cell", "op_dominates_ne",
+              "convexity_ratio"}),
+    "fig2": (["--set", "t_grid=[1, 5]"], {"out", "rows"}),
+    "fig3": (["--set", "lambda_grid=[0.1]"], {"out", "rows"}),
+    "fig4": (["--replicas", "20", "--set", "n=16", "--set", "m_values=[10]",
+              "--set", 'k_grids={"10": [2, 3]}'], {"out", "rows", "skipped"}),
+    "fig5": (["--replicas", "5", "--set", "t_multiples=[1, 2]"],
+             {"out", "t0", "limit_ratio"}),
+    "t0sweep": ([], {"out", "any_match", "implied_eta_min"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENT_RUNS))
+def test_experiment_prints_its_summary(tmp_path, name):
+    argv, keys = EXPERIMENT_RUNS[name]
+    code, out = _run(["experiment", name, "--out-dir", str(tmp_path), *argv])
+    assert code == 0 and set(out) == keys
+    paths = [out[key] for key in ("out", "region", "points") if key in out]
+    assert paths and all(os.path.isfile(path) for path in paths)
+    assert sorted(os.listdir(tmp_path)) == sorted(os.path.basename(p) for p in paths)
 
 
 def test_unknown_experiment_option_exits_1(tmp_path):

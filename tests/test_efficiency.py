@@ -167,7 +167,7 @@ def test_exponential_family_closed_forms():
         model = InfoTheoretic.from_c(c)
         b = solve_beta_star(model)
         np.testing.assert_allclose(b, c, rtol=1e-10)
-        np.testing.assert_allclose(solve_gamma_tilde(model, k, n, check=False),
+        np.testing.assert_allclose(solve_gamma_tilde(model, k, n),
                                    c / (1.0 + c * (k - 1) / n), rtol=1e-10)
         a = leader_coefficient(k, n, b)
         np.testing.assert_allclose(solve_gamma_star(model, k, n, b),
@@ -194,7 +194,7 @@ def test_leader_coefficient_infeasibility_raises():
 
 def test_equal_action_utility_peaks_at_gamma_tilde():
     for model, k, n in ((PacketSuccess(2), 2, 2), (InfoTheoretic(1.0), 3, 6)):
-        gt = solve_gamma_tilde(model, k, n, check=False)
+        gt = solve_gamma_tilde(model, k, n)
         xs = np.linspace(1e-6, n / (k - 1) * (1 - 1e-6), 4000)
         assert equal_action_utility(model, gt, k, n) >= equal_action_utility(
             model, xs, k, n).max() - 1e-12
@@ -372,11 +372,38 @@ def test_solve_gamma_tilde_bisects_only_its_root(monkeypatch):
         x = solve_gamma_tilde(model, 5, 16)
         assert len(calls) == bisections
         calls.clear()
-        assert solve_gamma_tilde(model, 5, 16, check=False) == x
+        assert solve_gamma_tilde(model, 5, 16) == x
         assert len(calls) == bisections
         calls.clear()
         ok, x0 = check_op_condition(model, 5, 16)
         assert ok and x0 is not None and len(calls) == bisections
+
+
+
+def test_solve_all_for_one_player_bisects_beta_star_once(monkeypatch):
+    from powergame import efficiency
+
+    calls = []
+
+    def counting_bisect(fn, lo, hi, *args, **kwargs):
+        calls.append((lo, hi))
+        return bisect(fn, lo, hi, *args, **kwargs)
+
+    monkeypatch.setattr(efficiency, "bisect", counting_bisect)
+    sinrs = solve_all(PacketSuccess(10), 1, 128)
+    assert len(calls) == 1
+    assert sinrs.gamma_tilde == sinrs.gamma_star == sinrs.beta_star == solve_beta_star(
+        PacketSuccess(10))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.floats(1e-6, 1e6))
+@example(4.3660699274850945)  # the next float up rounds to the same rate
+def test_info_theoretic_equality_and_hash_read_c(c):
+    a, b = InfoTheoretic.from_c(c), InfoTheoretic.from_c(math.nextafter(c, math.inf))
+    assert a != b and len({a, b}) == 2 and solve_beta_star(a) != solve_beta_star(b)
+    same = InfoTheoretic.from_c(c)
+    assert same == a and hash(same) == hash(a)
 
 
 def _closed_root(c, coeff):
@@ -450,7 +477,8 @@ def test_packet_success_m1_answers_zero_without_evaluating_g(monkeypatch):
         monkeypatch.setattr(efficiency, name, refuse)
     monkeypatch.setattr(PacketSuccess, "dlog", refuse)
     assert solve_beta_star(model) == 0.0
-    assert solve_gamma_tilde(model, 3, 8, check=False) == 0.0
+    with pytest.warns(UniquenessRiskWarning):
+        assert solve_gamma_tilde(model, 3, 8) == 0.0
     assert solve_gamma_star(model, 3, 8, 0.0) == 0.0
 
 

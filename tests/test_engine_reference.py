@@ -80,7 +80,7 @@ def reference_run_game(model, cfg, channels, strategy, scenario=None, beta_star=
     records = []
     for t, state in enumerate(channels, start=1):
         g2 = np.asarray(state.gains2)
-        phase = strategy.phases(t, punish_from)[-1]  # was strategy.phase_at(t, punish_from)
+        phase = strategy.phases(t, punish_from)[-1]
         powers = strategy.powers(phase, g2)
         over = powers > caps
         if over.any():

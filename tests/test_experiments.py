@@ -443,3 +443,18 @@ def test_runners_reject_nonfinite_arguments_from_python(tmp_path_factory, name, 
     with pytest.raises(ValueError, match=f"^{name} needs .* in {key}, got "):
         runner(out_dir=str(out_dir), **{key: value})
     assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("name, key, value", [
+    ("fig4", "replicas", 0),
+    ("fig5", "replicas", 0),
+    ("fig5", "replicas", -2),
+    ("fig5", "t_multiples", (1, 0)),
+    ("fig2", "t_grid", (0, -3)),
+    ("fig2", "t_grid", (2.5,)),
+    ("fig2", "t_grid", (True,)),
+])
+def test_runners_reject_counts_and_horizons_below_one(tmp_path, name, key, value):
+    with pytest.raises(ValueError, match=f"^{name} needs integers >= 1 in {key}, got "):
+        RUNNERS[name](out_dir=str(tmp_path), **{key: value})
+    assert list(tmp_path.iterdir()) == []

@@ -1,8 +1,9 @@
-"""Frozen sha256 digests of every emitted CSV at reduced sizes.
+"""Frozen sha256 digests of every emitted CSV at reduced sizes, and of the
+analysis commands' stdout.
 
-The digests were taken before the runners and the CLI were last refactored;
-a refactor must keep every byte.  A deliberate stream or layout change
-updates them and names itself in CHANGES.md.
+The digests were taken before the runners, the CLI and the root solvers were
+last refactored; a refactor must keep every byte.  A deliberate stream or
+layout change updates them and names itself in CHANGES.md.
 """
 
 import contextlib
@@ -43,6 +44,14 @@ SCENARIO = {
     "channel": {"mode": "per_stage", "mean_gain2": 1.0},
     "deviation": {"player": 2, "stage": 5, "power": "best_response",
                   "best_response_after": True},
+}
+
+
+STDOUT_DIGESTS = {
+    "solve_pkt": "f8752d3e4ace38c5b3eec5fbfcfdf0cceb16807f0f9b3e6a5140bbb7f24ebb97",
+    "solve_exp": "c4a9f72cefc6673cda2cc35878c97e6ae7a63a979a358b68d0f090f916b4a740",
+    "equilibria": "4153c350201a2b8d40cf00217ac4dd5c257f571e2d185b8cfa009dd7683dac04",
+    "bounds": "1e638c6f8a4be69d2bbff7f3b9778abd2a1f1b6663f7a776fe567c949bc5e0eb",
 }
 
 
@@ -101,3 +110,22 @@ def _digests(tmp_path):
 def test_every_csv_keeps_its_pinned_bytes(tmp_path):
     got = _digests(tmp_path)
     assert got == DIGESTS
+
+
+def test_analysis_commands_keep_their_pinned_stdout(tmp_path):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(SCENARIO))
+    runs = {
+        "solve_pkt": ["solve", "--model", "pkt", "--m", "10", "--k", "3", "--n", "16"],
+        "solve_exp": ["solve", "--model", "exp", "--rate", "1.0", "--k", "3", "--n", "16"],
+        "equilibria": ["equilibria", "--scenario", str(scenario), "--seed", "9"],
+        # at the scenario's p_max of 1.0 full power punishes too weakly: exit 5
+        "bounds": ["bounds", "--scenario", str(scenario), "--set", "network.p_max=100"],
+    }
+    got = {}
+    for name, argv in runs.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        got[name] = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert got == STDOUT_DIGESTS

@@ -181,7 +181,7 @@ def test_cooperation_surplus_identity_without_spreading():
             continue
         model = InfoTheoretic.from_c(c)
         beta = solve_beta_star(model)
-        tilde = solve_gamma_tilde(model, k, 1, check=False)
+        tilde = solve_gamma_tilde(model, k, 1)
         d = delta_gain(model, k, 1, beta, tilde)
         lhs = (k - 1) * model.value(beta) - d
         rhs = (model.value(beta) / beta

@@ -47,9 +47,8 @@ def _counted(fn):
 
 
 def _g(model, coeff):
-    # the characteristic equation as efficiency._solve_sinr_equation builds it for
-    # PacketSuccess; InfoTheoretic's root is a closed form, but the equation still
-    # serves as a test function
+    # the characteristic equation as PacketSuccess._root builds it; InfoTheoretic's
+    # root is a closed form, but the equation still serves as a test function
     def g(x):
         return x * (1.0 - coeff * x) * model.dlog(x) - 1.0
 

@@ -83,6 +83,17 @@ def test_config_fields_must_be_finite():
         ChannelState((1.0, math.nan))
 
 
+
+@pytest.mark.parametrize("k, n, message", [
+    (0, 1, "k must be a positive integer"),
+    (2.5, 1, "k must be a positive integer"),
+    (2, 0, "spreading factor n must be a positive integer"),
+])
+def test_config_needs_positive_integer_sizes(k, n, message):
+    with pytest.raises(ValueError, match=message):
+        NetworkConfig(k=k, n=n, sigma2=1.0, rates=1.0, p_max=1.0, eta_min=1.0, eta_max=2.0)
+
+
 def test_profile_validation():
     with pytest.raises(ValueError):
         ChannelState((1.0, 0.0))
