@@ -23,6 +23,8 @@ whole game; ``per_stage`` redraws every stage.
 from __future__ import annotations
 
 import csv
+import functools
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from math import exp, expm1, isfinite, log10
@@ -112,26 +114,33 @@ def _truncated_exponential(u: np.ndarray, mean, lo, hi, scale) -> np.ndarray:
     return np.minimum(u, hi, out=u)
 
 
+_generators = threading.local()  # per thread: one Philox generator, built on first use
+
+
 def _stream(seed: int, word: int) -> np.random.Generator:
+    """The calling thread's generator re-keyed to Philox(key=[seed, word]) at
+    counter 0, a fraction of the cost of building one; valid until that
+    thread's next ``_stream`` call."""
+    local = _generators
+    if not hasattr(local, "gen"):
+        # seeded, so no OS entropy is read for a key replaced below; built
+        # lazily, so importing loads no numpy.random
+        local.gen = np.random.Generator(np.random.Philox(0))
+        local.fresh = local.gen.bit_generator.state  # counter 0, empty buffer
     # an explicit uint64 key: a plain list of ints at or above 2**63 goes
     # through float64, and neighbouring seeds would share a key
-    key = np.array([seed, word], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    local.fresh["state"]["key"] = np.array([seed, word], dtype=np.uint64)
+    local.gen.bit_generator.state = local.fresh
+    return local.gen
 
 
 def _engine_gains(process: ChannelProcess, stages: int) -> np.ndarray:
-    """(k, width) engine gains, width 1 in constant mode.
-
-    One generator serves every player: its fresh state re-keyed to [seed, i]
-    is ``_stream(seed, i)``, at a fraction of the cost of building one."""
+    """(k, width) engine gains, width 1 in constant mode: row i is
+    ``_stream(seed, i)``'s output."""
     width = 1 if process.mode is ChannelMode.CONSTANT else stages
     gains = np.empty((process.k, width))
-    gen = _stream(process.seed, 0)
-    fresh = gen.bit_generator.state  # counter 0, empty output buffer
     for i, (row, law) in enumerate(zip(gains, _laws(process))):
-        fresh["state"]["key"] = np.array([process.seed, i], dtype=np.uint64)
-        gen.bit_generator.state = fresh
-        gen.random(out=row)
+        _stream(process.seed, i).random(out=row)
         _truncated_exponential(row, *law)
     return gains
 
@@ -154,16 +163,26 @@ class GainPath(_Columns):
         return list(map(ChannelState, self.gains2.tolist()))
 
 
+# typed: a hit must not answer for stages=3.0, which a fresh draw rejects
+@functools.lru_cache(maxsize=1, typed=True)
+def _gain_block(process: ChannelProcess, stages: int) -> np.ndarray:
+    """The checked (stages, k) engine block, kept for the last arguments: a
+    game and its deviations replay one path.  It lies in immutable ``bytes``,
+    so no caller can make it writeable; an error is not kept, so a bad gain
+    raises on every call."""
+    block = np.frombuffer(_engine_gains(process, stages).T.tobytes()).reshape(-1, process.k)
+    bad = ~((block > 0.0) & (block < np.inf))
+    if bad.any():
+        ChannelState(block[np.argwhere(bad)[0][0]].tolist())  # raises for that gain
+    return np.broadcast_to(block, (stages, process.k))
+
+
 def draw_sequence(process: ChannelProcess, stages: int) -> GainPath:
     """Gains for stages 1..stages as a ``GainPath``; constant mode repeats stage 1.
 
     The block is checked once, raising ``ChannelState``'s ValueError for the
     first bad gain in stage order."""
-    block = np.ascontiguousarray(_engine_gains(process, stages).T)
-    bad = ~((block > 0.0) & (block < np.inf))
-    if bad.any():
-        ChannelState(block[np.argwhere(bad)[0][0]].tolist())  # raises for that gain
-    return GainPath(np.broadcast_to(block, (stages, process.k)))
+    return GainPath(_gain_block(process, stages))
 
 
 def draw_block(process: ChannelProcess, stages: int, substream: int = 0) -> np.ndarray:

@@ -119,6 +119,14 @@ def _field(fields, name: str, kind, where: str):
         raise ValueError(f"{where} field {name} cannot be {fields[name]!r}") from None
 
 
+def _integer(value) -> int:
+    """An integer field: an int, an integral float or a decimal string, never
+    a bool, so a non-integral size is rejected rather than truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError
+    return int(value)
+
+
 def _reals(value):
     """A per-player field: one number for everyone, or a list of numbers."""
     return [float(v) for v in value] if isinstance(value, list) else float(value)
@@ -128,7 +136,7 @@ def _build_model(fields: dict):
     family = fields.get("family")
     where = f"model family {family!r}"
     if family == "pkt":
-        return PacketSuccess(_field(fields, "m", int, where))
+        return PacketSuccess(_field(fields, "m", _integer, where))
     if family == "exp":
         if fields.get("c") is not None:
             return InfoTheoretic.from_c(_field(fields, "c", float, where))
@@ -137,7 +145,7 @@ def _build_model(fields: dict):
 
 
 def _build_network(fields: dict) -> NetworkConfig:
-    kinds = {"k": int, "n": int, "sigma2": float, "rates": _reals, "p_max": _reals,
+    kinds = {"k": _integer, "n": _integer, "sigma2": float, "rates": _reals, "p_max": _reals,
              "eta_min": _reals, "eta_max": _reals}
     return NetworkConfig(**{name: _field(fields, name, kind, "network")
                             for name, kind in kinds.items()})
@@ -190,7 +198,7 @@ def _gains(doc: dict, args, cfg: NetworkConfig, stages: int):
     process = ChannelProcess.from_config(
         cfg, _field(chan, "mode", ChannelMode, "channel"),
         mean_gain2=_field(chan, "mean_gain2", _reals, "channel"),
-        seed=_field(chan, "seed", int, "channel") if "seed" in chan else _resolve_seed(args))
+        seed=_field(chan, "seed", _integer, "channel") if "seed" in chan else _resolve_seed(args))
     return draw_sequence(process, stages)
 
 
@@ -207,8 +215,8 @@ def _build_deviation(fields: dict) -> DeviationScenario:
                    lambda p: p if p in ("max", "best_response") else float(p), "deviation")
     after = str(fields.get("best_response_after", "false")).lower()
     return DeviationScenario(
-        player=_field(fields, "player", int, "deviation") - 1,
-        stage=_field(fields, "stage", int, "deviation"), power=power,
+        player=_field(fields, "player", _integer, "deviation") - 1,
+        stage=_field(fields, "stage", _integer, "deviation"), power=power,
         best_response_after=after in ("1", "true", "yes"))
 
 
@@ -260,8 +268,8 @@ def _build_plan(doc: dict, args):
                                             "t0": args.t0, "lam": args.lam})
     kind = plan_doc.get("type")
     if kind == "frg":
-        return FrgPlan(_field(plan_doc, "t_total", int, "plan"),
-                       _field(plan_doc, "t0", int, "plan"))
+        return FrgPlan(_field(plan_doc, "t_total", _integer, "plan"),
+                       _field(plan_doc, "t0", _integer, "plan"))
     if kind == "drg":
         return DrgPlan(_field(plan_doc, "lam", float, "plan"))
     raise ValueError("plan type must be 'frg' or 'drg' (scenario or --plan)")
@@ -314,6 +322,8 @@ def cmd_simulate(args) -> int:
 def cmd_experiment(args) -> int:
     runner = experiments.RUNNERS[args.name]
     params = inspect.signature(runner).parameters
+    if args.workers < 1:  # checked here too for the runners that take no workers
+        raise ValueError(f"--workers needs an integer >= 1, got {args.workers}")
     kwargs = {}
     for pair in args.set or []:
         key, _, raw = pair.partition("=")

@@ -57,7 +57,7 @@ from .static_game import (
 
 DEFAULT_SEED = 1729
 RUNNERS = {}  # experiment name -> runner, filled by @_runner at import
-_COUNTS = ("replicas", "t_grid", "t_multiples")  # runner arguments of integers >= 1
+_COUNTS = ("replicas", "t_grid", "t_multiples", "workers")  # runner arguments of integers >= 1
 
 
 def _floats(value):
@@ -82,9 +82,10 @@ def _runner(name: str):
 
     Before anything runs or is written, each argument must be of its
     default's kind: a sequence for a tuple, an integer for an int and a
-    number for a float, never a bool.  Replicas and horizons (``_COUNTS``) are
-    integers >= 1.  NaN is never an argument, and +inf only as eta_max (no
-    upper cut on the gains).  A ValueError names the experiment and the argument.
+    number for a float, never a bool.  Replicas, horizons and worker counts
+    (``_COUNTS``) are integers >= 1.  NaN is never an argument, and +inf only
+    as eta_max (no upper cut on the gains).  A ValueError names the experiment
+    and the argument.
     """
     def register(fn):
         params = inspect.signature(fn).parameters

@@ -48,10 +48,11 @@ class NetworkConfig:
     eta_max: tuple[float, ...]
 
     def __post_init__(self):
-        if self.k < 1 or int(self.k) != self.k:
-            raise ValueError("k must be a positive integer")
-        if self.n < 1 or int(self.n) != self.n:
-            raise ValueError("spreading factor n must be a positive integer")
+        for name, what in (("k", "k"), ("n", "spreading factor n")):
+            value = getattr(self, name)
+            if not (1 <= value < np.inf and int(value) == value):
+                raise ValueError(f"{what} must be a positive integer")
+            object.__setattr__(self, name, int(value))  # k=2.0 is k=2
         if not 0.0 < self.sigma2 < np.inf:
             raise ValueError("noise power sigma2 must be positive and finite")
         object.__setattr__(self, "rates", _per_player(self.rates, self.k, "rates"))

@@ -1,6 +1,11 @@
 """Bounded-gain fading processes: determinism, truncation, distribution."""
 
+import cProfile
 import math
+import pstats
+import subprocess
+import sys
+import threading
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -9,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from powergame import channel
 from powergame.channel import (
     MIN_ACCEPTANCE,
     ChannelMode,
@@ -26,7 +32,7 @@ from powergame.channel import (
     write_channel_csv,
 )
 from powergame.errors import ChannelConfigError
-from powergame.static_game import NetworkConfig
+from powergame.static_game import ChannelState, NetworkConfig
 
 
 def _process(k=2, mode="per_stage", mean=1.0, lo=0.1, hi=10.0, seed=7):
@@ -274,3 +280,121 @@ def test_channel_csv_round_trip(tmp_path):
     write_channel_csv(path, states)
     back = read_channel_csv(path)
     assert [s.gains2 for s in back] == [s.gains2 for s in states]
+
+
+def _path_bytes(path):
+    return np.asarray(path.gains2).tobytes()
+
+
+@pytest.mark.parametrize("mode", ["per_stage", "constant"])
+def test_a_kept_path_is_the_path_drawn_anew(mode):
+    proc = _process(k=3, mode=mode, seed=2**63 + 17)
+    first = draw_sequence(proc, 35)
+    hits = channel._gain_block.cache_info().hits
+    # an equal process built anew is the same key
+    again = draw_sequence(_process(k=3, mode=mode, seed=2**63 + 17), 35)
+    assert channel._gain_block.cache_info().hits == hits + 1
+    channel._gain_block.cache_clear()
+    fresh = draw_sequence(proc, 35)
+    assert _path_bytes(again) == _path_bytes(first) == _path_bytes(fresh)
+    assert [s.gains2 for s in again] == [s.gains2 for s in fresh]
+    # the key is the whole (process, stages) pair
+    assert len(draw_sequence(proc, 34)) == 34
+    other = _path_bytes(draw_sequence(_process(k=3, mode=mode, seed=2**63 + 18), 35))
+    assert other != _path_bytes(fresh)
+    assert _path_bytes(draw_sequence(proc, 35)) == _path_bytes(fresh)
+
+
+def test_a_kept_path_is_read_only():
+    proc = _process(k=2, seed=31)
+    path = draw_sequence(proc, 12)
+    block = channel._gain_block(proc, 12)
+    arrays = [path.gains2, block]
+    while isinstance(arrays[-1].base, np.ndarray):
+        arrays.append(arrays[-1].base)
+    for array in arrays:
+        with pytest.raises(ValueError):
+            array[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            array.flags.writeable = True
+    assert _path_bytes(draw_sequence(proc, 12)) == _path_bytes(path)
+
+
+def test_replacing_a_stage_leaves_the_kept_path_alone():
+    proc = _process(k=2, seed=37)
+    want = _path_bytes(draw_sequence(proc, 8))
+    path = draw_sequence(proc, 8)
+    path[3] = ChannelState((5.0, 6.0))
+    assert path[3].gains2 == (5.0, 6.0)
+    again = draw_sequence(proc, 8)
+    assert _path_bytes(again) == want
+    assert again[3].gains2 != (5.0, 6.0)
+
+
+def test_a_bad_gain_raises_on_every_call(monkeypatch):
+    proc = _process(k=2, seed=41)
+    block = _engine_gains(proc, 6)
+    block[1, 4] = math.inf
+    monkeypatch.setattr(channel, "_engine_gains", lambda process, stages: block)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="squared gain inf must be positive"):
+            draw_sequence(proc, 6)
+    monkeypatch.undo()
+    assert len(draw_sequence(proc, 6)) == 6
+
+
+def test_at_most_one_path_is_kept():
+    for seed in range(5):
+        for stages in (3, 40):
+            draw_sequence(_process(k=4, seed=seed), stages)
+            assert channel._gain_block.cache_info().currsize <= 1
+    assert channel._gain_block.cache_info().maxsize == 1
+
+
+def test_no_draw_reads_os_entropy():
+    # building Philox(key=...) seeds a SeedSequence from os.urandom first
+    profile = cProfile.Profile()
+    profile.enable()
+    for seed in range(100):
+        proc = _process(k=3, seed=5000 + seed)
+        draw_sequence(proc, 20)
+        draw_block(proc, 20, substream=seed)
+        draw(proc, 4)
+    profile.disable()
+    stats = pstats.Stats(profile).stats
+    assert [name for _, _, name in stats if "urandom" in name] == []
+
+
+def test_threads_draw_their_own_streams():
+    procs = [_process(k=3, seed=900 + s) for s in range(24)]
+
+    def draws(proc):
+        return _path_bytes(draw_sequence(proc, 50)), draw_block(proc, 50, 2).tobytes()
+
+    want = [draws(p) for p in procs]
+    wrong = []
+
+    def work(first):
+        for _ in range(20):
+            for i in range(first, len(procs), 4):
+                if draws(procs[i]) != want[i]:
+                    wrong.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
+def test_importing_loads_no_sampler():
+    # numpy.random adds megabytes of peak memory to runs that never draw
+    code = "import sys, powergame.cli; assert 'numpy.random' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True)

@@ -308,11 +308,21 @@ def test_dynamics_sweeps_reject_single_player_curves_and_bad_lambdas(tmp_path, c
     ("fig5", ["--set", "t_multiples=[1, 0]"], "t_multiples"),
     ("fig2", ["--set", "t_grid=[0, -3]"], "t_grid"),
     ("fig2", ["--set", "t_grid=[2.5]"], "t_grid"),
+    ("fig5", ["--set", "workers=0"], "workers"),
 ])
 def test_runner_counts_and_horizons_below_one_exit_1(tmp_path, capsys, name, argv, key):
     code, out = _run(["experiment", name, "--out-dir", str(tmp_path), *argv])
     assert code == 1 and out == {}
     assert capsys.readouterr().err.startswith(f"error: {name} needs integers >= 1 in {key}")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name, workers", [("fig3", "0"), ("fig4", "-3"), ("t0sweep", "0")])
+def test_workers_below_one_exit_1(tmp_path, capsys, name, workers):
+    # fig3 and t0sweep take no workers, and ignored the flag
+    code, out = _run(["experiment", name, "--out-dir", str(tmp_path), "--workers", workers])
+    assert code == 1 and out == {}
+    assert capsys.readouterr().err == f"error: --workers needs an integer >= 1, got {workers}\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -545,6 +555,32 @@ def test_wrong_typed_scenario_fields_exit_1(tmp_path, capsys, override, named):
     assert res == {}
     assert named in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("override, named", [
+    ("network.k=2.7", "network field k cannot be 2.7"),
+    ("network.n=16.9", "network field n cannot be 16.9"),
+    ("network.k=true", "network field k cannot be True"),
+    ("network.n=false", "network field n cannot be False"),
+    ("plan.t0=1.5", "plan field t0 cannot be 1.5"),
+    ("deviation.stage=2.5", "deviation field stage cannot be 2.5"),
+    ('model={"family": "pkt", "m": 2.5}', "model family 'pkt' field m cannot be 2.5"),
+])
+def test_non_integral_sizes_exit_1_naming_the_field(tmp_path, capsys, override, named):
+    # int() truncated these, so k = 2.7 played as k = 2 and exited 0
+    out = tmp_path / "trace.csv"
+    code, res = _run(["simulate", "--scenario", _scenario(tmp_path, doc=SCRIPTED),
+                      "--set", override, "--out", str(out)])
+    assert code == 1 and res == {}
+    assert capsys.readouterr().err == f"error: {named}\n"
+    assert not out.exists()
+
+
+def test_integral_float_sizes_run_as_integers(tmp_path):
+    code, res = _run(["bounds", "--scenario", _scenario(tmp_path),
+                      "--set", "network.k=2.0", "--set", "network.n=1.0"])
+    assert (code, res) == _run(["bounds", "--scenario", _scenario(tmp_path)])
+    assert code == 0
 
 
 @pytest.mark.parametrize("name, override", [

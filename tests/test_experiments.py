@@ -453,6 +453,8 @@ def test_runners_reject_nonfinite_arguments_from_python(tmp_path_factory, name, 
     ("fig2", "t_grid", (0, -3)),
     ("fig2", "t_grid", (2.5,)),
     ("fig2", "t_grid", (True,)),
+    ("fig4", "workers", 0),
+    ("fig5", "workers", -3),
 ])
 def test_runners_reject_counts_and_horizons_below_one(tmp_path, name, key, value):
     with pytest.raises(ValueError, match=f"^{name} needs integers >= 1 in {key}, got "):

@@ -94,6 +94,22 @@ def test_config_needs_positive_integer_sizes(k, n, message):
         NetworkConfig(k=k, n=n, sigma2=1.0, rates=1.0, p_max=1.0, eta_min=1.0, eta_max=2.0)
 
 
+def test_integral_float_sizes_are_stored_as_integers():
+    cfg = NetworkConfig.uniform(k=2.0, n=16.0, sigma2=1.0, rate=1.0, p_max=1.0,
+                                eta_min=1.0, eta_max=2.0)
+    assert (cfg.k, cfg.n) == (2, 16) and type(cfg.k) is int and type(cfg.n) is int
+    assert cfg.rates == (1.0, 1.0)
+    assert cfg == NetworkConfig.uniform(k=2, n=16, sigma2=1.0, rate=1.0, p_max=1.0,
+                                        eta_min=1.0, eta_max=2.0)
+    for size in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            NetworkConfig.uniform(k=size, n=16, sigma2=1.0, rate=1.0, p_max=1.0,
+                                  eta_min=1.0, eta_max=2.0)
+        with pytest.raises(ValueError, match="spreading factor n must be"):
+            NetworkConfig.uniform(k=2, n=size, sigma2=1.0, rate=1.0, p_max=1.0,
+                                  eta_min=1.0, eta_max=2.0)
+
+
 def test_profile_validation():
     with pytest.raises(ValueError):
         ChannelState((1.0, 0.0))
