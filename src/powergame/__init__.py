@@ -56,7 +56,6 @@ from .repeated import (
     DiscountedAverage,
     DrgPlan,
     FrgPlan,
-    GameHistory,
     Phase,
     RgBounds,
     StageRecord,
@@ -66,7 +65,6 @@ from .repeated import (
     best_deviation,
     delta_gain,
     drg_truncation_horizon,
-    history_at,
     lambda_bound,
     make_machines,
     rg_bounds,
@@ -90,7 +88,5 @@ from .static_game import (
     sample_utility_region,
     se_profiles,
     sinr_all,
-    social_welfare,
     utility,
-    weighted_welfare,
 )

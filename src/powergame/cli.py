@@ -322,8 +322,11 @@ def cmd_simulate(args) -> int:
 def cmd_experiment(args) -> int:
     runner = experiments.RUNNERS[args.name]
     params = inspect.signature(runner).parameters
-    if args.workers < 1:  # checked here too for the runners that take no workers
+    if args.workers is not None and args.workers < 1:  # before the check below
         raise ValueError(f"--workers needs an integer >= 1, got {args.workers}")
+    for flag in ("replicas", "workers"):  # given to a runner that would drop it
+        if getattr(args, flag) is not None and flag not in params:
+            raise ValueError(f"--{flag} does not apply to {args.name}, which takes no {flag}")
     kwargs = {}
     for pair in args.set or []:
         key, _, raw = pair.partition("=")
@@ -410,7 +413,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output CSV path")
     p.add_argument("--out-dir", default=".")
     p.add_argument("--replicas", type=int)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override runner keyword arguments")

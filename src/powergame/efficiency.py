@@ -77,7 +77,7 @@ def _sinr_formula(positive: bool):
                 except ZeroDivisionError:
                     pass
             arr = np.asarray(x, dtype=float)
-            if not np.all(in_domain(arr, 0.0)):
+            if not in_domain(arr, 0.0).all():
                 raise ValueError(message)
             out = formula(obj, arr, *args, **kwargs)
             return float(out) if arr.ndim == 0 else out

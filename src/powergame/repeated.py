@@ -26,6 +26,7 @@ behind ``StageRecord``s that are built when first read and then kept.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields
 from enum import Enum
 from math import ceil, floor, log
@@ -82,14 +83,6 @@ class RgBounds:
     t0: int
     lambda_max: float
     delta: float
-
-
-@dataclass(frozen=True)
-class GameHistory:
-    """What a player can condition on: public signals plus its own powers."""
-
-    omegas: tuple[float, ...]
-    own_powers: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -345,19 +338,25 @@ class TriggerStrategy:
     caps: tuple[float, ...]
     expected_omega: float
 
-    def phases(self, stages: int, punish_from: int | None = None) -> list[Phase]:
-        """Phases of stages 1..stages: cooperate, endgame, then punish from punish_from."""
+    def _spans(self, stages: int, punish_from: int | None = None) -> tuple[int, int]:
+        """(coop, end): stages 1..coop cooperate, coop+1..end play the endgame, the rest punish.
+
+        Punishment starts at stage punish_from, or never when it is None.
+        """
         end = stages if punish_from is None else min(max(punish_from - 1, 0), stages)
         coop = end
         if isinstance(self.plan, FrgPlan):
             coop = min(max(self.plan.t_total - self.plan.t0, 0), end)
-        return ([Phase.COOPERATE] * coop + [Phase.ENDGAME] * (end - coop)
-                + [Phase.PUNISH] * (stages - end))
+        return coop, end
+
+    def phases(self, stages: int, punish_from: int | None = None) -> list[Phase]:
+        """Phases of stages 1..stages: cooperate, endgame, then punish from punish_from."""
+        return list(_in_phases(tuple(Phase), stages, *self._spans(stages, punish_from)))
 
     def powers(self, phase: Phase, gains2: np.ndarray) -> np.ndarray:
         """Prescribed powers in this phase over own gains, one stage (k,) or many (..., k)."""
         if phase is Phase.PUNISH and isinstance(self.plan, FrgPlan):
-            return np.broadcast_to(self.caps, np.shape(gains2)).copy()
+            return np.full(np.shape(gains2), self.caps)
         action = self.coop_action if phase is Phase.COOPERATE else self.ne_action
         return action / gains2
 
@@ -367,6 +366,18 @@ class TriggerStrategy:
         ``omega`` is one stage's public signal or an array of them.
         """
         return abs(omega - self.expected_omega) > DETECTION_TOL * self.expected_omega
+
+
+def _in_phases(items: tuple, stages: int, coop: int, end: int) -> tuple:
+    """One of the three items per stage, in ``Phase`` order over ``TriggerStrategy._spans``."""
+    cooperate, endgame, punish = items
+    return (cooperate,) * coop + (endgame,) * (end - coop) + (punish,) * (stages - end)
+
+
+@functools.cache
+def _phase_labels(k: int) -> tuple[tuple[str, ...], ...]:
+    """A stage's tuple of k labels in each phase, in ``Phase`` order."""
+    return tuple((phase.value,) * k for phase in Phase)
 
 
 def make_machines(cfg: NetworkConfig, model: EfficiencyModel, plan: Plan,
@@ -446,14 +457,6 @@ def averaged_utility_drg(trace: Trace, player: int,
     return DiscountedAverage(float(weights @ u), (1.0 - lam) ** len(u) * float(u.max()))
 
 
-def history_at(trace: Trace, player: int, upto: int) -> GameHistory:
-    """Public history available to a player entering stage upto+1."""
-    return GameHistory(
-        omegas=tuple(trace.omega[:upto].tolist()),
-        own_powers=tuple(trace.powers[:upto, player].tolist()),
-    )
-
-
 def _script(scenario: DeviationScenario | None, cfg: NetworkConfig,
             beta_star: float | None, stages: int):
     """The script read once: ((player, row, fixed, lo, hi), last, error).
@@ -488,19 +491,19 @@ def _script(scenario: DeviationScenario | None, cfg: NetworkConfig,
     return (i, s, fixed, lo, hi), stages, None
 
 
-def _scripted(override, cfg: NetworkConfig, beta_star: float | None,
-              gains2: np.ndarray, prescribed: np.ndarray) -> np.ndarray:
-    """The prescribed (stages, k) powers with the script's override.
+def _scripted(override, cfg: NetworkConfig, beta_star: float | None, gains2: np.ndarray,
+              prescribed: np.ndarray, powers: np.ndarray, start: int) -> None:
+    """Write rows start.. of powers: the prescribed (stages, k) powers with the script's override.
 
     A best response answers the prescription of its own stage.
     """
     i, s, fixed, lo, hi = override
-    powers = prescribed.copy()
+    powers[start:] = prescribed[start:]
+    lo = max(lo, start)
     if lo < hi:
         powers[lo:hi, i] = _best_responses(cfg, gains2[lo:hi], prescribed[lo:hi], i, beta_star)[0]
-    if fixed is not None:
+    if fixed is not None and s >= start:
         powers[s, i] = fixed
-    return powers
 
 
 def run_game(model: EfficiencyModel, cfg: NetworkConfig,
@@ -514,39 +517,39 @@ def run_game(model: EfficiencyModel, cfg: NetworkConfig,
     information structure by construction.  Pass (a) prescribes every stage
     on-plan (cooperate, then endgame), applies the script, and finds the first
     detected stage t* from one omega-only kernel call; pass (b) re-prescribes
-    the stages after t* in the punish phase and applies the script again.  One
-    more kernel call plays all stages.  Errors come from the first stage that
-    has one: SaturatedRegimeError for a prescription above a cap (a gain below
-    the strategy's bounds), or the script's ValueError for a bad request.  A
-    bad request's stage bounds the cap check; the stages before it play as
-    they would alone, since nothing in a stage depends on a later one.  A
-    ``GainPath`` is played from its block; any other sequence of states is
+    the stages after t* in the punish phase and applies the script to them
+    again.  One more kernel call plays all stages.  Errors come from the first
+    stage that has one: SaturatedRegimeError for a prescription above a cap (a
+    gain below the strategy's bounds), or the script's ValueError for a bad
+    request.  A bad request's stage bounds the cap check; the stages before it
+    play as they would alone, since nothing in a stage depends on a later one.
+    A ``GainPath`` is played from its block; any other sequence of states is
     stacked into one.
     """
     plan = strategy.plan
-    if isinstance(plan, FrgPlan) and len(channels) > plan.t_total:
+    stages = len(channels)
+    if isinstance(plan, FrgPlan) and stages > plan.t_total:
         raise ValueError(
             f"stage {plan.t_total + 1} beyond the {plan.t_total}-stage horizon")
-    override, last, error = _script(scenario, cfg, beta_star, len(channels))
+    override, last, error = _script(scenario, cfg, beta_star, stages)
 
-    stages = len(channels)
     gains2 = (channels.gains2 if isinstance(channels, GainPath) else
               np.array([state.gains2 for state in channels], dtype=float)).reshape(stages, cfg.k)
-    schedule = strategy.phases(stages)
-    coop = schedule.count(Phase.COOPERATE)
-    prescribed = np.concatenate([strategy.powers(Phase.COOPERATE, gains2[:coop]),
-                                 strategy.powers(Phase.ENDGAME, gains2[coop:])])
-    powers = _scripted(override, cfg, beta_star, gains2, prescribed)
+    coop, end = strategy._spans(stages)
+    prescribed = strategy.powers(Phase.COOPERATE, gains2)  # each later phase overwrites its rows
+    prescribed[coop:] = strategy.powers(Phase.ENDGAME, gains2[coop:])
+    powers = np.empty_like(prescribed)
+    _scripted(override, cfg, beta_star, gains2, prescribed, powers, 0)
     omega = _stage_payoffs(None, cfg, gains2[:coop], powers[:coop])[2]
-    seen = np.flatnonzero(strategy.deviation_seen(omega))
-    detected = int(seen[0]) + 1 if seen.size else None  # t*
+    seen = strategy.deviation_seen(omega).nonzero()[0]
+    detected = int(seen[0]) + 1 if seen.size else 0  # t*, 0 when nothing is seen
     if detected:
-        schedule = strategy.phases(stages, punish_from=detected + 1)
-        prescribed[detected:] = strategy.powers(Phase.PUNISH, gains2[detected:])
-        powers = _scripted(override, cfg, beta_star, gains2, prescribed)
-    over = prescribed[:last] > np.asarray(strategy.caps)
-    if over.any():
-        t, i = np.argwhere(over)[0]  # the first stage over a cap, its first player
+        coop, end = strategy._spans(stages, punish_from=detected + 1)
+        prescribed[end:] = strategy.powers(Phase.PUNISH, gains2[end:])
+        _scripted(override, cfg, beta_star, gains2, prescribed, powers, end)
+    over, player = (prescribed[:last] > strategy.caps).nonzero()
+    if over.size:
+        t, i = over[0], player[0]  # the first stage over a cap, its first player
         raise SaturatedRegimeError(
             f"stage {t + 1}: strategy prescribes {prescribed[t, i]} W to player "
             f"{i + 1}, above its cap {strategy.caps[i]} W")
@@ -554,10 +557,9 @@ def run_game(model: EfficiencyModel, cfg: NetworkConfig,
         raise error
 
     sinrs, utils, omegas = _stage_payoffs(model, cfg, gains2, powers)
-    labels = {phase: (phase.value,) * cfg.k for phase in Phase}
     t = np.arange(1, stages + 1)
-    return Trace(t, gains2, powers, sinrs, utils, omegas, tuple(map(labels.get, schedule)),
-                 t == detected)
+    return Trace(t, gains2, powers, sinrs, utils, omegas,
+                 _in_phases(_phase_labels(cfg.k), stages, coop, end), t == detected)
 
 
 def trace_to_csv(path, trace: Trace) -> None:

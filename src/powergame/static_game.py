@@ -12,6 +12,7 @@ profiles below equalise actions, not powers.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
@@ -84,6 +85,12 @@ class ChannelState:
                 raise ValueError(f"squared gain {g} must be positive and finite")
 
 
+@functools.cache
+def _column_names(cls) -> tuple[str, ...]:
+    """The field names of a ``_Columns`` class, in order, read once per class."""
+    return tuple(f.name for f in fields(cls))
+
+
 @dataclass(frozen=True, eq=False)
 class _Columns(Sequence):
     """A sequence of per-stage items over read-only columns, one row per stage.
@@ -97,10 +104,10 @@ class _Columns(Sequence):
     """
 
     def __post_init__(self):
-        for f in fields(self):
-            column = getattr(self, f.name)
+        for name in _column_names(type(self)):
+            column = getattr(self, name)
             if isinstance(column, np.ndarray):
-                column.flags.writeable = False
+                column.setflags(write=False)
 
     def _items(self) -> list:
         if "_built" not in self.__dict__:
@@ -111,11 +118,11 @@ class _Columns(Sequence):
         return iter(self._items())
 
     def __len__(self) -> int:
-        return len(getattr(self, fields(self)[0].name))
+        return len(getattr(self, _column_names(type(self))[0]))
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return type(self)(*(getattr(self, f.name)[index] for f in fields(self)))
+            return type(self)(*(getattr(self, name)[index] for name in _column_names(type(self))))
         if "_built" in self.__dict__:
             return self._built[index]
         t = range(len(self))[index]  # IndexError past either end
@@ -125,10 +132,10 @@ class _Columns(Sequence):
         items = list(self._items())
         items[index] = value
         columns = {}
-        for f in fields(self):
-            column, cells = getattr(self, f.name), [getattr(item, f.name) for item in items]
-            columns[f.name] = (tuple(cells) if isinstance(column, tuple) else
-                               np.array(cells, column.dtype).reshape(-1, *column.shape[1:]))
+        for name in _column_names(type(self)):
+            column, cells = getattr(self, name), [getattr(item, name) for item in items]
+            columns[name] = (tuple(cells) if isinstance(column, tuple) else
+                             np.array(cells, column.dtype).reshape(-1, *column.shape[1:]))
         for name, column in {**columns, "_built": items}.items():
             object.__setattr__(self, name, column)
         self.__post_init__()
@@ -161,8 +168,9 @@ def _stage_payoffs(model: EfficiencyModel | None, cfg: NetworkConfig, gains2,
                    powers) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """SINRs, utilities and public signal of stage profiles shaped (..., k).
 
-    The one place the stage formula lives.  Utilities are zero at zero power
-    and None when no model is given; the public signal has the batch shape.
+    The one place the stage formula lives.  Utilities are zero at zero power,
+    where nothing is divided, and None when no model is given; the public
+    signal has the batch shape.
     """
     gains2 = np.asarray(gains2)
     powers = np.asarray(powers)
@@ -171,9 +179,8 @@ def _stage_payoffs(model: EfficiencyModel | None, cfg: NetworkConfig, gains2,
     sinrs = cfg.n * a / (total - a + cfg.sigma2)
     utils = None
     if model is not None:
-        eff = model.value(sinrs)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            utils = np.where(powers > 0.0, np.asarray(cfg.rates) * eff / powers, 0.0)
+        utils = np.divide(np.asarray(cfg.rates) * model.value(sinrs), powers,
+                          out=np.zeros(sinrs.shape), where=powers > 0.0)
     return sinrs, utils, cfg.sigma2 + total[..., 0]
 
 
@@ -289,19 +296,6 @@ def se_profiles(model: EfficiencyModel, cfg: NetworkConfig, ch: ChannelState,
     u = scale * model.value(beta_star) / (beta_star * (1.0 + gn))
     u[leader] = scale[leader] * model.value(gamma_star) / (gamma_star * (1.0 + bn))
     return profile, UtilityProfile(tuple(u))
-
-
-def social_welfare(u: UtilityProfile) -> float:
-    return float(sum(u.u))
-
-
-def weighted_welfare(u: UtilityProfile, weights) -> float:
-    w = np.asarray(weights, dtype=float)
-    if np.any(w < 0.0):
-        raise ValueError("welfare weights must be nonnegative")
-    if w.shape != (len(u.u),):
-        raise ValueError("one weight per player required")
-    return float((w * np.asarray(u.u)).sum())
 
 
 def pareto_dominates(ua: UtilityProfile, ub: UtilityProfile) -> bool:

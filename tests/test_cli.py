@@ -326,6 +326,19 @@ def test_workers_below_one_exit_1(tmp_path, capsys, name, workers):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("name, flag, value", [
+    ("fig3", "replicas", "0"), ("fig1", "replicas", "-5"), ("t0sweep", "replicas", "3"),
+    ("fig2", "workers", "2"), ("fig1", "workers", "1"), ("t0sweep", "workers", "4"),
+])
+def test_flags_a_runner_does_not_take_exit_1(tmp_path, capsys, name, flag, value):
+    # these runners used to drop the flag, write their CSVs and exit 0
+    code, out = _run(["experiment", name, "--out-dir", str(tmp_path), f"--{flag}", value])
+    assert code == 1 and out == {}
+    assert capsys.readouterr().err == (
+        f"error: --{flag} does not apply to {name}, which takes no {flag}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 # reduced sizes, and the keys each experiment prints; the paths among them must exist
 EXPERIMENT_RUNS = {
     "fig1": (["--set", "points_per_axis=12", "--set", "hull_bins=4"],

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -29,7 +30,6 @@ from powergame.repeated import (
     best_deviation,
     delta_gain,
     drg_truncation_horizon,
-    history_at,
     lambda_bound,
     make_machines,
     rg_bounds,
@@ -43,6 +43,7 @@ from powergame.static_game import (
     NetworkConfig,
     PowerProfile,
     _equal_action,
+    _stage_payoffs,
     ne_action,
     ne_profile,
     op_profile,
@@ -59,6 +60,19 @@ LAMBDA_MAX_AT_UNIT_RATIO = {
     (4, 5): 0.07672504493841714,
     (10, 12): 0.036974787240196524,
 }
+
+
+class GameHistory(NamedTuple):
+    """What a player can condition on: public signals plus its own powers."""
+
+    omegas: tuple[float, ...]
+    own_powers: tuple[float, ...]
+
+
+def history_at(trace, player: int, upto: int) -> GameHistory:
+    """Public history available to a player entering stage upto+1, read from the columns."""
+    return GameHistory(tuple(trace.omega[:upto].tolist()),
+                       tuple(trace.powers[:upto, player].tolist()))
 
 
 def _uniform_cfg(k, n, sigma2=1e-3, p_max=100.0, eta_min=1.0, ratio=1.0):
@@ -695,3 +709,84 @@ def test_exact_endgame_holds_on_adversarial_paths(seed):
             gain = averaged_utility_frg(run_game(model, cfg, channels, strategy, scen,
                                                  beta_star=sinrs.beta_star), i) - scale
             assert gain <= 1e-9 * max(1.0, abs(scale)), (i, s, gain)
+
+
+def _silent_player_games():
+    """Each family on a three-player network, its SINRs and an 8-stage path of states."""
+    for model in (PacketSuccess(3), InfoTheoretic.from_c(0.5)):
+        k, n = 3, 4
+        sinrs = solve_all(model, k, n)
+        cfg = NetworkConfig(k=k, n=n, sigma2=0.1, rates=(1.0, 2.0, 0.5), p_max=50.0,
+                            eta_min=1.0, eta_max=2.0)
+        gains2 = np.linspace(1.0, 2.0, 8 * k).reshape(8, k)
+        yield model, cfg, sinrs, [ChannelState(tuple(g)) for g in gains2]
+
+
+@pytest.mark.parametrize("drg", [False, True])
+def test_the_kernel_needs_no_floating_point_context(drg):
+    # utility is 0 where power is 0 without dividing by it, and SINR 0 evaluates
+    # cleanly, so nothing warns or raises under the strictest error state
+    for model, cfg, sinrs, channels in _silent_player_games():
+        gains2 = np.array([channels[0].gains2] * 4)
+        powers = np.array([[0.0, 0.0, 0.0],   # nobody sends: every SINR is 0
+                           [0.0, 1.0, 2.0],
+                           [1.0, 0.0, 0.0],   # only player 1 sends
+                           [0.5, 0.5, 0.5]])
+        plan = DrgPlan(0.2) if drg else FrgPlan(t_total=8, t0=2)
+        strategy = make_machines(cfg, model, plan, sinrs.beta_star, sinrs.gamma_tilde)
+        with np.errstate(divide="raise", invalid="raise"):
+            x, u, omega = _stage_payoffs(model, cfg, gains2, powers)
+            trace = run_game(model, cfg, channels, strategy,
+                             DeviationScenario(player=0, stage=2, power=0.0))
+        silent = powers == 0.0
+        assert (x[silent] == 0.0).all() and (x[~silent] > 0.0).all()
+        assert u[silent].tobytes() == np.zeros(silent.sum()).tobytes()  # +0.0, not -0.0
+        assert (u[~silent] > 0.0).all()
+        assert omega.tolist() == [cfg.sigma2 + float((p * gains2[0]).sum()) for p in powers]
+        silent = trace.powers == 0.0
+        assert silent.tolist() == [[t == 1 and i == 0 for i in range(3)] for t in range(8)]
+        assert trace.sinrs[1, 0] == 0.0 and trace.deviation_detected[1]
+        assert trace.utilities[silent].tobytes() == np.zeros(1).tobytes()
+        assert (trace.utilities[~silent] > 0.0).all()
+
+
+@st.composite
+def _scheduled_games(draw):
+    """A plan, a horizon inside it, a gain path and a script, possibly none."""
+    k = draw(st.integers(2, 3))
+    if draw(st.booleans()):
+        plan = FrgPlan(t_total=draw(st.integers(1, 12)), t0=draw(st.integers(0, 14)))
+        stages = draw(st.integers(1, plan.t_total))
+    else:
+        plan = DrgPlan(draw(st.floats(0.05, 0.95)))
+        stages = draw(st.integers(1, 12))
+    gains2 = draw(st.lists(st.tuples(*[st.floats(1.0, 1.5)] * k), min_size=stages,
+                           max_size=stages))
+    scenario = draw(st.none() | st.builds(
+        DeviationScenario, player=st.integers(0, k - 1), stage=st.integers(1, stages),
+        power=st.sampled_from(["max", "best_response"]) | st.floats(0.0, 100.0),
+        best_response_after=st.booleans()))
+    return k, plan, gains2, scenario
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(game=_scheduled_games())
+def test_trace_labels_follow_the_strategy_schedule(game):
+    k, plan, gains2, scenario = game
+    model = PacketSuccess(2)
+    sinrs = solve_all(model, k, 4)
+    cfg = _uniform_cfg(k, 4, ratio=1.5)
+    strategy = make_machines(cfg, model, plan, sinrs.beta_star, sinrs.gamma_tilde)
+    trace = run_game(model, cfg, [ChannelState(g) for g in gains2], strategy, scenario,
+                     beta_star=sinrs.beta_star)
+    stages = len(gains2)
+    # t*: the first on-plan cooperating stage whose public signal the strategy sees move
+    on_plan = strategy.phases(stages)
+    seen = [t for t in range(1, stages + 1) if on_plan[t - 1] is Phase.COOPERATE
+            and strategy.deviation_seen(trace.omega[t - 1])]
+    schedule = strategy.phases(stages, seen[0] + 1) if seen else on_plan
+    assert trace.phases == tuple((phase.value,) * k for phase in schedule)
+    assert trace.deviation_detected.tolist() == [bool(seen) and t == seen[0]
+                                                 for t in range(1, stages + 1)]
+    if scenario is None:
+        assert not seen

@@ -26,10 +26,23 @@ from powergame.static_game import (
     sample_utility_region,
     se_profiles,
     sinr_all,
-    social_welfare,
     utility,
-    weighted_welfare,
 )
+
+
+def social_welfare(u: UtilityProfile) -> float:
+    """The sum of the players' utilities."""
+    return float(sum(u.u))
+
+
+def weighted_welfare(u: UtilityProfile, weights) -> float:
+    """The weighted sum of the players' utilities: one nonnegative weight per player."""
+    w = np.asarray(weights, dtype=float)
+    if np.any(w < 0.0):
+        raise ValueError("welfare weights must be nonnegative")
+    if w.shape != (len(u.u),):
+        raise ValueError("one weight per player required")
+    return float((w * np.asarray(u.u)).sum())
 
 
 def _random_instance(rng, k_lo=2, k_hi=6):
