@@ -84,7 +84,6 @@ from .static_game import (
     pareto_dominates,
     public_signal,
     reconstruct_public_signal,
-    region_to_csv,
     sample_utility_region,
     se_profiles,
     sinr_all,

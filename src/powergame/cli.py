@@ -324,7 +324,7 @@ def cmd_experiment(args) -> int:
     params = inspect.signature(runner).parameters
     if args.workers is not None and args.workers < 1:  # before the check below
         raise ValueError(f"--workers needs an integer >= 1, got {args.workers}")
-    for flag in ("replicas", "workers"):  # given to a runner that would drop it
+    for flag in ("replicas", "workers", "seed"):  # given to a runner that would drop it
         if getattr(args, flag) is not None and flag not in params:
             raise ValueError(f"--{flag} does not apply to {args.name}, which takes no {flag}")
     kwargs = {}

@@ -22,11 +22,12 @@ returns (``roots.bisect`` locates the crossing by regula falsi and replays the
 bisection, evaluating only near the root) on the ratio form
 x*(1 - A*x)*f'(x)/f(x) - 1, finite where f underflows (tiny SINR, large m).
 
-Every function of the SINR goes through one decorator, ``_sinr_formula``,
-which rejects SINRs outside the domain (NaN included) and evaluates a float
-as a float, anything else as an array.  A float returns the bits of a 0-d
-array; ``value`` and ``equal_action_utility`` can differ by 1 ulp from the
-1-d array kernel at m >= 3 (numpy's vector power loop against scalar pow).
+Every function of the SINR but PacketSuccess's root function (floats x > 0
+only) goes through one decorator, ``_sinr_formula``, which rejects SINRs outside
+the domain (NaN included) and evaluates a float as a float, anything else as an
+array.  A float returns the bits of a 0-d array; ``value`` and
+``equal_action_utility`` can differ by 1 ulp from the 1-d array kernel at m >= 3
+(numpy's vector power loop against scalar pow).
 
 The cooperative root is unique when h(x) = f''/f' - 2(k-1)/(n-(k-1)x)
 changes sign exactly once, from + to -, on (0, n/(k-1)); the subtracted term
@@ -71,7 +72,7 @@ def _sinr_formula(positive: bool):
             if isinstance(x, float):
                 if not in_domain(x, 0.0):
                     raise ValueError(message)
-                try:  # a bare call when nothing is forwarded: 0.15 us less per root step
+                try:  # a bare call when nothing is forwarded: 0.1 us less per call
                     return float(formula(obj, x, *args, **kwargs) if args or kwargs
                                  else formula(obj, x))
                 except ZeroDivisionError:
@@ -139,8 +140,9 @@ class PacketSuccess:
         if self.m == 1:
             return 0.0
 
-        def g(x: float) -> float:
-            return x * (1.0 - coeff * x) * self.dlog(x) - 1.0
+        def g(x: float) -> float:  # dlog in floats; e = 1 (x < 2**-54) divides by zero: inf
+            e = float(np.exp(-x))
+            return x * (1.0 - coeff * x) * (self.m * e / (1.0 - e) if e < 1.0 else inf) - 1.0
 
         return bisect(g, *expand_bracket(g))
 
@@ -176,6 +178,8 @@ class InfoTheoretic:
 
     @_sinr_formula(positive=False)
     def value(self, x):
+        if type(x) is float:  # not np.float64(-0.0), which divides to -inf; 0.0 raises instead
+            return np.exp(-self.c / x)
         with np.errstate(divide="ignore"):  # x = 0 maps to exp(-inf) = 0
             return np.exp(-self.c / (x + 0.0))  # + 0.0 makes -0.0 into 0.0
 

@@ -170,45 +170,48 @@ def _bound_terms(model: EfficiencyModel, k: int, n: int, beta_star: float,
             equal_action_utility(model, gamma_tilde, k, n))
 
 
-def _punish_interference(cfg: NetworkConfig, i: int) -> float:
-    """Noise plus the others' received power at full power and the gain floor."""
-    return sum(cfg.p_max[j] * cfg.eta_min[j] for j in range(cfg.k) if j != i) + cfg.sigma2
+def _punish_interference(cfg: NetworkConfig) -> list[float]:
+    """Each player's noise plus the others' received power at full power and the gain floor."""
+    received = [p * eta for p, eta in zip(cfg.p_max, cfg.eta_min)]
+    return [sum(received[:i] + received[i + 1:]) + cfg.sigma2 for i in range(cfg.k)]
 
 
-def delta_gain(model: EfficiencyModel, k: int, n: int,
-               beta_star: float, gamma_tilde: float) -> float:
-    """Per-stage cooperation surplus in equal-action utility units (>= 0)."""
-    if gamma_tilde == beta_star:
-        return 0.0
-    _, phi_ne, phi_op = _bound_terms(model, k, n, beta_star, gamma_tilde)
+def _surplus(f_ne: float, phi_ne: float, phi_op: float) -> float:
+    """delta = phi(gt) - phi(b) from the ``_bound_terms``, clipped at 0."""
     d = phi_op - phi_ne
     if d < -1e-12 * phi_ne:
         raise PowerGameError("cooperative utility fell below equilibrium utility")
     return max(d, 0.0)
 
 
+def delta_gain(model: EfficiencyModel, k: int, n: int,
+               beta_star: float, gamma_tilde: float) -> float:
+    """Per-stage cooperation surplus in equal-action utility units (>= 0)."""
+    return (0.0 if gamma_tilde == beta_star
+            else _surplus(*_bound_terms(model, k, n, beta_star, gamma_tilde)))
+
+
 def _t0_ratios(cfg: NetworkConfig, model: EfficiencyModel, beta_star: float,
-               gamma_tilde: float, player: int | None,
-               exact_deviation: bool = False) -> list[float]:
+               gamma_tilde: float, player: int | None, exact_deviation: bool = False,
+               terms: tuple | None = None) -> list[float]:
     """Real-valued endgame-length ratio of each player, or of `player` alone.
 
-    The shared body of ``t0_bound`` and ``t0_bound_exact_deviation``: the
-    efficiency terms are evaluated once per call, the punishment
-    interference once per player.  Empty below two players: nobody to
-    deviate against.
+    The shared body of ``t0_bound``, ``t0_bound_exact_deviation`` and ``rg_bounds``,
+    which passes the ``_bound_terms`` it evaluated.  Empty below two players.
     """
     k, n = cfg.k, cfg.n
     if k < 2:
         return []
-    f_ne, phi_ne, phi_op = _bound_terms(model, k, n, beta_star, gamma_tilde)
+    f_ne, phi_ne, phi_op = terms or _bound_terms(model, k, n, beta_star, gamma_tilde)
     deviation_term = f_ne / beta_star
     if exact_deviation:
         deviation_term = deviation_term * (1.0 - (k - 1) * gamma_tilde / n)
+    interference = _punish_interference(cfg)
     ratios = []
     for i in range(k) if player is None else (player,):
         numerator = cfg.eta_max[i] * deviation_term - cfg.eta_min[i] * phi_op
         denominator = cfg.eta_min[i] * phi_ne - cfg.eta_max[i] * f_ne / (
-            beta_star * _punish_interference(cfg, i))
+            beta_star * interference[i])
         if denominator <= 0.0:
             raise NoFiniteT0Error(
                 "full-power punishment too weak for player "
@@ -236,7 +239,7 @@ def _t0_edge(cfg: NetworkConfig, model: EfficiencyModel, beta_star: float,
     f_ne, phi_ne, phi_op = _bound_terms(model, cfg.k, cfg.n, beta_star, gamma_tilde)
     t = max(floor(t), 0)
     return (t * phi_ne + phi_op) / (f_ne / beta_star
-                                    * (1.0 + t / _punish_interference(cfg, 0)))
+                                    * (1.0 + t / _punish_interference(cfg)[0]))
 
 
 def _t0_floor_edge(cfg: NetworkConfig, model: EfficiencyModel, beta_star: float,
@@ -285,14 +288,16 @@ def lambda_bound(cfg: NetworkConfig, model: EfficiencyModel, beta_star: float,
     min over players of eta_min*delta / (eta_min*delta + eta_max*((k-1)*f(b) - delta)),
     zero when the cooperation surplus delta vanishes (k = 1 degeneracy).
     """
-    delta = delta_gain(model, cfg.k, cfg.n, beta_star, gamma_tilde)
-    if delta == 0.0:
-        return 0.0
-    f_ne = model.value(beta_star)
-    out = 1.0
-    for lo, hi in zip(cfg.eta_min, cfg.eta_max):
-        out = min(out, lo * delta / (lo * delta + hi * ((cfg.k - 1) * f_ne - delta)))
-    return out
+    return (0.0 if gamma_tilde == beta_star
+            else _lambda_max(cfg, _bound_terms(model, cfg.k, cfg.n, beta_star, gamma_tilde)))
+
+
+def _lambda_max(cfg: NetworkConfig, terms: tuple) -> float:
+    """``lambda_bound`` on ``_bound_terms``'s triple: the least over 1 and the players."""
+    delta = _surplus(*terms)
+    return 0.0 if delta == 0.0 else min(1.0, *(
+        lo * delta / (lo * delta + hi * ((cfg.k - 1) * terms[0] - delta))
+        for lo, hi in zip(cfg.eta_min, cfg.eta_max)))
 
 
 def _lambda_edge(model: EfficiencyModel, k: int, n: int, beta_star: float,
@@ -307,11 +312,12 @@ def _lambda_edge(model: EfficiencyModel, k: int, n: int, beta_star: float,
 
 def rg_bounds(cfg: NetworkConfig, model: EfficiencyModel, beta_star: float,
               gamma_tilde: float) -> RgBounds:
-    return RgBounds(
-        t0=t0_bound(cfg, model, beta_star, gamma_tilde),
-        lambda_max=lambda_bound(cfg, model, beta_star, gamma_tilde),
-        delta=delta_gain(model, cfg.k, cfg.n, beta_star, gamma_tilde),
-    )
+    """``t0_bound``, ``lambda_bound`` and ``delta_gain`` on one evaluation of their terms."""
+    terms = (_bound_terms(model, cfg.k, cfg.n, beta_star, gamma_tilde)
+             if gamma_tilde != beta_star else None)  # else t0 alone reads them, from two players
+    t0 = _t0_from_ratios(_t0_ratios(cfg, model, beta_star, gamma_tilde, None, terms=terms))
+    return (RgBounds(t0, _lambda_max(cfg, terms), _surplus(*terms)) if terms
+            else RgBounds(t0, 0.0, 0.0))
 
 
 def drg_truncation_horizon(lam: float, tail: float = 1e-12) -> int:

@@ -7,7 +7,10 @@ transmits at power p_i over a fading gain |g_i|^2 and earns
 
 where sinr_i = n * p_i |g_i|^2 / (sum_{j != i} p_j |g_j|^2 + sigma2).  The
 received action a_i = p_i |g_i|^2 is the natural variable: all equilibrium
-profiles below equalise actions, not powers.
+profiles below equalise actions, not powers.  Their powers, cap checks and
+utilities are Python floats, as ``+ - * /`` and comparisons round alike in
+floats and numpy; sums over players, ``**`` and ``exp`` stay numpy calls, since
+Python sums in another order and ``math`` need not round as numpy does.
 """
 
 from __future__ import annotations
@@ -224,16 +227,14 @@ def _equal_action(cfg: NetworkConfig, x: float) -> float:
     return cfg.sigma2 * x / margin
 
 
-def _actions_to_profile(cfg: NetworkConfig, ch: ChannelState, actions: np.ndarray,
+def _actions_to_profile(cfg: NetworkConfig, ch: ChannelState, actions: Sequence[float],
                         label: str) -> PowerProfile:
-    p = actions / np.asarray(ch.gains2)
-    over = p > np.asarray(cfg.p_max)
-    if np.any(over):
-        i = int(np.argmax(over))
-        raise SaturatedRegimeError(
-            f"{label} power {p[i]} exceeds cap {cfg.p_max[i]} for player {i + 1}"
-        )
-    return PowerProfile(tuple(p))
+    p = tuple(a / g for a, g in zip(actions, ch.gains2))
+    for i, (power, cap) in enumerate(zip(p, cfg.p_max)):
+        if power > cap:
+            raise SaturatedRegimeError(f"{label} power {power} exceeds cap {cap} "
+                                       f"for player {i + 1}")
+    return PowerProfile(p)
 
 
 def ne_action(cfg: NetworkConfig, beta_star: float) -> float:
@@ -245,13 +246,13 @@ def ne_action(cfg: NetworkConfig, beta_star: float) -> float:
 def ne_profile(cfg: NetworkConfig, ch: ChannelState, beta_star: float) -> PowerProfile:
     """One-shot equilibrium powers; every SINR equals beta_star."""
     a = ne_action(cfg, beta_star)
-    return _actions_to_profile(cfg, ch, np.full(cfg.k, a), "equilibrium")
+    return _actions_to_profile(cfg, ch, (a,) * cfg.k, "equilibrium")
 
 
 def op_profile(cfg: NetworkConfig, ch: ChannelState, gamma_tilde: float) -> PowerProfile:
     """Cooperative operating-point powers; every SINR equals gamma_tilde."""
     a = _equal_action(cfg, gamma_tilde)
-    return _actions_to_profile(cfg, ch, np.full(cfg.k, a), "operating-point")
+    return _actions_to_profile(cfg, ch, (a,) * cfg.k, "operating-point")
 
 
 def _leader_margin(k: int, n: int, beta_star: float,
@@ -286,14 +287,13 @@ def se_profiles(model: EfficiencyModel, cfg: NetworkConfig, ch: ChannelState,
     bn, gn, d = _leader_margin(cfg.k, cfg.n, beta_star, gamma_star)
     a_leader = cfg.sigma2 * gamma_star * (1.0 + bn) / (cfg.n * d)
     a_follow = cfg.sigma2 * beta_star * (1.0 + gn) / (cfg.n * d)
-    actions = np.full(cfg.k, a_follow)
+    actions = [a_follow] * cfg.k
     actions[leader] = a_leader
     profile = _actions_to_profile(cfg, ch, actions, "leader-follower")
 
-    g2 = np.asarray(ch.gains2)
-    rates = np.asarray(cfg.rates)
-    scale = rates * g2 / cfg.sigma2 * cfg.n * d
-    u = scale * model.value(beta_star) / (beta_star * (1.0 + gn))
+    scale = [rate * g2 / cfg.sigma2 * cfg.n * d for rate, g2 in zip(cfg.rates, ch.gains2)]
+    f_follow = model.value(beta_star)
+    u = [s * f_follow / (beta_star * (1.0 + gn)) for s in scale]
     u[leader] = scale[leader] * model.value(gamma_star) / (gamma_star * (1.0 + bn))
     return profile, UtilityProfile(tuple(u))
 
@@ -327,12 +327,3 @@ def sample_utility_region(model: EfficiencyModel, cfg: NetworkConfig, ch: Channe
 def _write_table(fh, columns, rows) -> None:
     """Column names and rows of string cells, as ``csv.writer`` writes them unquoted."""
     fh.write("\r\n".join([",".join(columns), *map(",".join, rows), ""]))
-
-
-def region_to_csv(path, powers: np.ndarray, utils_norm: np.ndarray) -> None:
-    """Write sampled region rows as p1..pK,u1_norm..uK_norm."""
-    k = powers.shape[1]
-    with open(path, "w", newline="") as fh:
-        _write_table(fh, [f"p{i + 1}" for i in range(k)] + [f"u{i + 1}_norm" for i in range(k)],
-                     (list(map(repr, row)) for row in
-                      np.hstack([powers, utils_norm]).astype(float).tolist()))

@@ -339,6 +339,21 @@ def test_flags_a_runner_does_not_take_exit_1(tmp_path, capsys, name, flag, value
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "t0sweep"])
+def test_seed_flag_a_runner_does_not_take_exits_1(tmp_path, capsys, monkeypatch, name):
+    # these runners draw nothing: --seed used to be dropped and the CSV said "# seed: none"
+    code, out = _run(["experiment", name, "--out-dir", str(tmp_path), "--seed", "9"])
+    assert code == 1 and out == {}
+    assert capsys.readouterr().err == (
+        f"error: --seed does not apply to {name}, which takes no seed\n")
+    assert list(tmp_path.iterdir()) == []
+    # POWERGAME_SEED stays a default, which a runner without a seed ignores
+    monkeypatch.setenv("POWERGAME_SEED", "9")
+    code, out = _run(["experiment", name, "--out-dir", str(tmp_path),
+                      *EXPERIMENT_RUNS[name][0]])
+    assert code == 0 and set(out) == EXPERIMENT_RUNS[name][1]
+
+
 # reduced sizes, and the keys each experiment prints; the paths among them must exist
 EXPERIMENT_RUNS = {
     "fig1": (["--set", "points_per_axis=12", "--set", "hull_bins=4"],

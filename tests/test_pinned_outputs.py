@@ -1,5 +1,6 @@
-"""Frozen sha256 digests of every emitted CSV at reduced sizes, and of the
-analysis commands' stdout.
+"""Frozen sha256 digests of every emitted CSV at reduced sizes, of the
+analysis commands' stdout, and of the analysis functions' floats over seeded
+random configs.
 
 The digests were taken before the runners, the CLI and the root solvers were
 last refactored; a refactor must keep every byte.  A deliberate stream or
@@ -10,7 +11,24 @@ import contextlib
 import hashlib
 import io
 import json
+import math
+import random
 
+from powergame import (
+    ChannelState,
+    InfoTheoretic,
+    NetworkConfig,
+    PacketSuccess,
+    PowerGameError,
+    ne_profile,
+    op_profile,
+    rg_bounds,
+    se_profiles,
+    solve_all,
+    solve_beta_star,
+    t0_bound_exact_deviation,
+    utility,
+)
 from powergame.cli import main
 from powergame.experiments import (
     fig1_region,
@@ -129,3 +147,59 @@ def test_analysis_commands_keep_their_pinned_stdout(tmp_path):
             assert main(argv) == 0
         got[name] = hashlib.sha256(out.getvalue().encode()).hexdigest()
     assert got == STDOUT_DIGESTS
+
+
+ANALYSIS_DIGEST = "7b8e3d036df3c46b6fddaefc9c5ed218847bac0c8dfa5af1d3fdea730dcff0fe"
+
+
+def _analysis_outcome(call) -> str:
+    """Every float of a call's result by repr, or its typed error and message."""
+    try:
+        out = call()
+    except PowerGameError as exc:
+        return f"{type(exc).__name__}:{exc}"
+    return repr(out)
+
+
+def _analysis_lines(count=200, seed=20261019):
+    """One line per seeded random config of either family: every report quantity.
+
+    Loads, caps and gain spreads range wide enough that some configs raise each
+    typed error; each quantity is taken on its own, so an error in one leaves
+    the others covered.
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        if rng.random() < 0.5:
+            model = PacketSuccess(rng.randint(2, 120))
+        else:
+            model = InfoTheoretic(rng.uniform(0.05, 4.0))
+        k = rng.randint(1, 8)
+        beta = solve_beta_star(model)
+        n = max(1, math.ceil((k - 1) * beta / rng.uniform(0.02, 1.1)))
+        eta_min = [10.0 ** rng.uniform(-1.0, 1.0) for _ in range(k)]
+        eta_max = [lo * rng.uniform(1.0, 5.0) for lo in eta_min]
+        cfg = NetworkConfig(k=k, n=n, sigma2=10.0 ** rng.uniform(-5.0, 0.0),
+                            rates=tuple(rng.uniform(0.2, 3.0) for _ in range(k)),
+                            p_max=tuple(10.0 ** rng.uniform(-2.0, 3.0) for _ in range(k)),
+                            eta_min=tuple(eta_min), eta_max=tuple(eta_max))
+        ch = ChannelState(tuple(rng.uniform(lo, hi) for lo, hi in zip(eta_min, eta_max)))
+        leader = rng.randrange(k)
+        s = solve_all(model, k, n)
+        ne = _analysis_outcome(lambda: ne_profile(cfg, ch, s.beta_star))
+        op = _analysis_outcome(lambda: op_profile(cfg, ch, s.gamma_tilde))
+        yield " ".join([
+            repr(s), ne, op,
+            _analysis_outcome(lambda: se_profiles(model, cfg, ch, s.beta_star,
+                                                  s.gamma_star, leader)),
+            _analysis_outcome(lambda: utility(model, cfg, ch, ne_profile(cfg, ch, s.beta_star))),
+            _analysis_outcome(lambda: utility(model, cfg, ch, op_profile(cfg, ch, s.gamma_tilde))),
+            _analysis_outcome(lambda: rg_bounds(cfg, model, s.beta_star, s.gamma_tilde)),
+            _analysis_outcome(lambda: t0_bound_exact_deviation(cfg, model, s.beta_star,
+                                                               s.gamma_tilde)),
+        ])
+
+
+def test_analysis_reports_keep_their_pinned_floats():
+    text = "\n".join(_analysis_lines())
+    assert hashlib.sha256(text.encode()).hexdigest() == ANALYSIS_DIGEST

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from powergame.efficiency import InfoTheoretic, PacketSuccess, solve_all
 from powergame.errors import NoNashEquilibriumError, SaturatedRegimeError
+from powergame.experiments import fig1_region
 from powergame.static_game import (
     ChannelState,
     NetworkConfig,
@@ -22,7 +23,6 @@ from powergame.static_game import (
     pareto_dominates,
     public_signal,
     reconstruct_public_signal,
-    region_to_csv,
     sample_utility_region,
     se_profiles,
     sinr_all,
@@ -321,9 +321,10 @@ def test_region_csv_round_trip(tmp_path):
     ch = ChannelState((1.0, 1.0))
     powers, utils_norm = sample_utility_region(model, cfg, ch, points_per_axis=10)
     path = tmp_path / "region.csv"
-    region_to_csv(path, powers, utils_norm)
+    fig1_region(region_path=str(path), points_path=str(tmp_path / "points.csv"),
+                points_per_axis=10)  # fig1's defaults are the config above
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+        rows = list(csv.reader(line for line in fh if not line.startswith("#")))
     assert rows[0] == ["p1", "p2", "u1_norm", "u2_norm"]
     assert len(rows) == 101
     got = np.array([[float(v) for v in row] for row in rows[1:]])
