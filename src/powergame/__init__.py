@@ -51,7 +51,6 @@ from .experiments import (
     fig5_t0_sweep,
 )
 from .repeated import (
-    BestDeviation,
     DeviationScenario,
     DiscountedAverage,
     DrgPlan,
@@ -62,7 +61,6 @@ from .repeated import (
     TriggerStrategy,
     averaged_utility_drg,
     averaged_utility_frg,
-    best_deviation,
     delta_gain,
     drg_truncation_horizon,
     lambda_bound,

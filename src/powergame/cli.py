@@ -210,12 +210,19 @@ def _parse_deviation(text: str) -> dict:
     return fields
 
 
-def _build_deviation(fields: dict) -> DeviationScenario:
+def _player(number: int, k: int, what: str) -> int:
+    """The 0-based index of a 1-based player number; a ValueError naming it outside 1..k."""
+    if not 1 <= number <= k:
+        raise ValueError(f"{what} {number} out of range 1..{k}")
+    return number - 1
+
+
+def _build_deviation(fields: dict, k: int) -> DeviationScenario:
     power = _field(fields, "power",
                    lambda p: p if p in ("max", "best_response") else float(p), "deviation")
     after = str(fields.get("best_response_after", "false")).lower()
     return DeviationScenario(
-        player=_field(fields, "player", _integer, "deviation") - 1,
+        player=_player(_field(fields, "player", _integer, "deviation"), k, "deviation player"),
         stage=_field(fields, "stage", _integer, "deviation"), power=power,
         best_response_after=after in ("1", "true", "yes"))
 
@@ -237,20 +244,21 @@ def cmd_solve(args) -> int:
 def cmd_equilibria(args) -> int:
     doc, model, cfg, sinrs = _scenario(args)
     ch = _gains(doc, args, cfg, 1)[0]
-    leader = args.leader - 1
 
-    for name, profile in (("ne", ne_profile(cfg, ch, sinrs.beta_star)),
-                          ("op", op_profile(cfg, ch, sinrs.gamma_tilde))):
-        u = utility(model, cfg, ch, profile)
+    def with_utility(profile):
+        return profile, utility(model, cfg, ch, profile)
+
+    # each profile is built in its turn, so an error follows the lines printed before it
+    for name, build in (
+            ("ne", lambda: with_utility(ne_profile(cfg, ch, sinrs.beta_star))),
+            ("op", lambda: with_utility(op_profile(cfg, ch, sinrs.gamma_tilde))),
+            ("se", lambda: se_profiles(model, cfg, ch, sinrs.beta_star, sinrs.gamma_star,
+                                       _player(args.leader, cfg.k, "--leader")))):
+        profile, u = build()
         for i in range(cfg.k):
             _emit(f"{name}_power_{i + 1}", profile.p[i])
             _emit(f"{name}_utility_{i + 1}", u.u[i])
-    profile, u = se_profiles(model, cfg, ch, sinrs.beta_star,
-                             sinrs.gamma_star, leader)
-    for i in range(cfg.k):
-        _emit(f"se_power_{i + 1}", profile.p[i])
-        _emit(f"se_utility_{i + 1}", u.u[i])
-    _emit("se_leader", leader + 1)
+    _emit("se_leader", args.leader)
     return 0
 
 
@@ -278,6 +286,10 @@ def _build_plan(doc: dict, args):
 def cmd_simulate(args) -> int:
     doc, model, cfg, sinrs = _scenario(args)
     plan = _build_plan(doc, args)
+    if args.stages is not None and isinstance(plan, FrgPlan):
+        raise ValueError("--stages applies to drg plans only: an frg plan plays t_total stages")
+    if args.stages is not None and args.stages < 1:
+        raise ValueError(f"--stages needs an integer >= 1, got {args.stages}")
     # the bound the plan needs, reported beside it; the run goes ahead anyway
     if isinstance(plan, FrgPlan):
         stages = plan.t_total
@@ -293,7 +305,7 @@ def cmd_simulate(args) -> int:
 
     dev_fields = (_layered({}, args, "deviation", _parse_deviation(args.deviate))
                   if args.deviate else doc.get("deviation"))
-    scenario = None if dev_fields is None else _build_deviation(dev_fields)
+    scenario = None if dev_fields is None else _build_deviation(dev_fields, cfg.k)
 
     strategy = make_machines(cfg, model, plan, sinrs.beta_star,
                              sinrs.gamma_tilde)
@@ -402,7 +414,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, help="finite horizon (frg)")
     p.add_argument("--t0", type=int, help="endgame length (frg)")
     p.add_argument("--lam", type=float, help="stopping probability (drg)")
-    p.add_argument("--stages", type=int, help="drg truncation override")
+    p.add_argument("--stages", type=int, help="drg truncation override, at least 1")
     p.add_argument("--deviate", metavar="player=I,stage=T,power=P",
                    help="force a deviation (power: watts, 'max', or "
                         "'best_response'; add best_response_after=true)")

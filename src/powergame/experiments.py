@@ -44,6 +44,7 @@ from .static_game import (
     NetworkConfig,
     UtilityProfile,
     _equal_action,
+    _leader_follower_utilities,
     _leader_margin,
     _write_table,
     ne_action,
@@ -424,8 +425,8 @@ def _fig4_point(indexed, n, replicas, seed, eta_min, eta_max, mean_gain2, leader
         bn, gn, d = _leader_margin(k, n, beta, gamma)
     except NoNashEquilibriumError as exc:
         return m, k, str(exc)
-    c_lead = d * model.value(gamma) / (gamma * (1.0 + bn))
-    c_follow = d * model.value(beta) / (beta * (1.0 + gn))
+    c_lead, = _leader_follower_utilities(model, gamma, bn, (d,))
+    c_follow, = _leader_follower_utilities(model, beta, gn, (d,))
 
     process = ChannelProcess(
         mode=ChannelMode.PER_STAGE, mean_gain2=(mean_gain2,) * k,
@@ -614,18 +615,17 @@ def fig5_t0_sweep(csv_path=None, out_dir=".", k: int = 35, m: int = 10,
 
     def ratios_at(scale: float):
         try:
-            return _t0_ratios(_uniform_cfg(k, n, sigma2, p_max, scale, ratio),
-                              *terms, 0)
+            return _t0_ratios(_uniform_cfg(k, n, sigma2, p_max, scale, ratio), *terms)
         except NoFiniteT0Error:
             return None
 
-    # alike players share one ratio, so player 0's decides t0_bound
     per_scale = [ratios_at(s) for s in scales]
     t0s = [None if r is None else _t0_from_ratios(r) for r in per_scale]
     rows = [SweepRow(s, b, b is not None and abs(b - target) <= 1)
             for s, b in zip(scales, t0s)]
-    # the real-valued ratio decreases in the scale, so the decades bracket
-    # the target when some finite ratio reaches it and another falls short
+    # the real-valued ratio, alike for every player, decreases in the scale, so
+    # the decades bracket the target when some finite ratio reaches it and
+    # another falls short
     finite = [r[0] for r in per_scale if r]
     implied = None
     if any(r >= target for r in finite) and any(r < target for r in finite):

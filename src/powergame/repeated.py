@@ -27,7 +27,7 @@ behind ``StageRecord``s that are built when first read and then kept.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from math import ceil, floor, log
 
@@ -36,7 +36,7 @@ import numpy as np
 from .channel import GainPath
 from .efficiency import EfficiencyModel, _require_one_shot, equal_action_utility
 from .errors import NoFiniteT0Error, PowerGameError, SaturatedRegimeError
-from .static_game import ChannelState, NetworkConfig, _Columns, _equal_action
+from .static_game import ChannelState, NetworkConfig, _Columns, _column_names, _equal_action
 from .static_game import _stage_payoffs, _write_table, ne_action
 
 DETECTION_TOL = 1e-9  # relative departure of omega from its cooperative value that counts
@@ -99,9 +99,6 @@ class StageRecord:
     deviation_detected: bool
 
 
-_RECORD_FIELDS = tuple(f.name for f in fields(StageRecord))
-
-
 @dataclass(frozen=True, eq=False)
 class Trace(_Columns):
     """A played game: ``StageRecord``s over read-only columns, one per record field.
@@ -121,23 +118,16 @@ class Trace(_Columns):
     deviation_detected: np.ndarray
 
     def _build(self) -> list[StageRecord]:
-        columns = {name: getattr(self, name) for name in _RECORD_FIELDS}
+        columns = {name: getattr(self, name) for name in _column_names(type(self))}
         columns.update({name: zip(*column.T.tolist()) if column.ndim == 2 else column.tolist()
                         for name, column in columns.items() if name != "phases"})
         new = object.__new__
         records = [new(StageRecord) for _ in range(len(self))]
         fills = [record.__dict__ for record in records]
-        for name in _RECORD_FIELDS:  # the order the generated __init__ stores them in
-            for fill, value in zip(fills, columns[name]):
+        for name, column in columns.items():  # the record's field order, as __init__ stores them
+            for fill, value in zip(fills, column):
                 fill[name] = value
         return records
-
-
-@dataclass(frozen=True)
-class BestDeviation:
-    power: float
-    utility: float
-    saturated: bool
 
 
 @dataclass(frozen=True)
@@ -192,9 +182,9 @@ def delta_gain(model: EfficiencyModel, k: int, n: int,
 
 
 def _t0_ratios(cfg: NetworkConfig, model: EfficiencyModel, beta_star: float,
-               gamma_tilde: float, player: int | None, exact_deviation: bool = False,
+               gamma_tilde: float, exact_deviation: bool = False,
                terms: tuple | None = None) -> list[float]:
-    """Real-valued endgame-length ratio of each player, or of `player` alone.
+    """Real-valued endgame-length ratio of each player.
 
     The shared body of ``t0_bound``, ``t0_bound_exact_deviation`` and ``rg_bounds``,
     which passes the ``_bound_terms`` it evaluated.  Empty below two players.
@@ -208,7 +198,7 @@ def _t0_ratios(cfg: NetworkConfig, model: EfficiencyModel, beta_star: float,
         deviation_term = deviation_term * (1.0 - (k - 1) * gamma_tilde / n)
     interference = _punish_interference(cfg)
     ratios = []
-    for i in range(k) if player is None else (player,):
+    for i in range(k):
         numerator = cfg.eta_max[i] * deviation_term - cfg.eta_min[i] * phi_op
         denominator = cfg.eta_min[i] * phi_ne - cfg.eta_max[i] * f_ne / (
             beta_star * interference[i])
@@ -266,7 +256,7 @@ def t0_bound(cfg: NetworkConfig, model: EfficiencyModel, beta_star: float,
     deviation payoff by the interference-free maximum f(b)/b.  This is the
     max over players, the binding one.
     """
-    return _t0_from_ratios(_t0_ratios(cfg, model, beta_star, gamma_tilde, None))
+    return _t0_from_ratios(_t0_ratios(cfg, model, beta_star, gamma_tilde))
 
 
 def t0_bound_exact_deviation(cfg: NetworkConfig, model: EfficiencyModel,
@@ -277,7 +267,7 @@ def t0_bound_exact_deviation(cfg: NetworkConfig, model: EfficiencyModel,
     response against the cooperative profile, f(b)/b * (1 - (k-1)*gt/n).
     Never larger than t0_bound.
     """
-    return _t0_from_ratios(_t0_ratios(cfg, model, beta_star, gamma_tilde, None,
+    return _t0_from_ratios(_t0_ratios(cfg, model, beta_star, gamma_tilde,
                                       exact_deviation=True))
 
 
@@ -315,7 +305,7 @@ def rg_bounds(cfg: NetworkConfig, model: EfficiencyModel, beta_star: float,
     """``t0_bound``, ``lambda_bound`` and ``delta_gain`` on one evaluation of their terms."""
     terms = (_bound_terms(model, cfg.k, cfg.n, beta_star, gamma_tilde)
              if gamma_tilde != beta_star else None)  # else t0 alone reads them, from two players
-    t0 = _t0_from_ratios(_t0_ratios(cfg, model, beta_star, gamma_tilde, None, terms=terms))
+    t0 = _t0_from_ratios(_t0_ratios(cfg, model, beta_star, gamma_tilde, terms=terms))
     return (RgBounds(t0, _lambda_max(cfg, terms), _surplus(*terms)) if terms
             else RgBounds(t0, 0.0, 0.0))
 
@@ -419,22 +409,6 @@ def _best_responses(cfg: NetworkConfig, gains2: np.ndarray, powers: np.ndarray,
     cap = cfg.p_max[player]
     saturated = target > cap
     return np.where(saturated, cap, target), interference, saturated
-
-
-def best_deviation(model: EfficiencyModel, cfg: NetworkConfig, ch: ChannelState,
-                   others, player: int, beta_star: float) -> BestDeviation:
-    """One-stage optimum against fixed other-player powers.
-
-    Targets SINR beta_star; when that needs more than the cap, returns the
-    cap and its (lower) utility, flagged saturated.  ``others`` is a full
-    power vector whose entry for ``player`` is ignored.
-    """
-    p_other = np.asarray(getattr(others, "p", others), dtype=float)
-    power, interference, saturated = _best_responses(
-        cfg, np.asarray(ch.gains2), p_other, player, beta_star)
-    power, saturated = float(power), bool(saturated)
-    x = cfg.n * power * ch.gains2[player] / float(interference) if saturated else beta_star
-    return BestDeviation(power, cfg.rates[player] * model.value(x) / power, saturated)
 
 
 def _utilities(trace: Trace, player: int) -> np.ndarray:

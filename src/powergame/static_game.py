@@ -198,10 +198,8 @@ def utility(model: EfficiencyModel, cfg: NetworkConfig, ch: ChannelState,
 
 
 def public_signal(cfg: NetworkConfig, ch: ChannelState, profile: PowerProfile) -> float:
-    """Total received energy sigma2 + sum_i p_i |g_i|^2, observable by all.
-
-    The stage kernel's own expression, so the float is ``_stage_payoffs``'s."""
-    return float(cfg.sigma2 + (np.asarray(profile.p) * np.asarray(ch.gains2)).sum(axis=-1))
+    """Total received energy sigma2 + sum_i p_i |g_i|^2, observable by all."""
+    return float(_stage_payoffs(None, cfg, ch.gains2, profile.p)[2])
 
 
 def reconstruct_public_signal(p_i: float, gain2_i: float, sinr_i: float, n: int) -> float:
@@ -269,6 +267,14 @@ def _leader_margin(k: int, n: int, beta_star: float,
     return bn, gn, d
 
 
+def _leader_follower_utilities(model: EfficiencyModel, x: float, other: float,
+                               scales) -> list[float]:
+    """scale * f(x) / (x (1 + other)) for each scale: the leader-follower utility of
+    a player at SINR x, with other the b/n or g/n of the other role (``_leader_margin``)."""
+    f, denominator = model.value(x), x * (1.0 + other)
+    return [scale * f / denominator for scale in scales]
+
+
 def se_profiles(model: EfficiencyModel, cfg: NetworkConfig, ch: ChannelState,
                 beta_star: float, gamma_star: float, leader: int,
                 ) -> tuple[PowerProfile, UtilityProfile]:
@@ -292,9 +298,8 @@ def se_profiles(model: EfficiencyModel, cfg: NetworkConfig, ch: ChannelState,
     profile = _actions_to_profile(cfg, ch, actions, "leader-follower")
 
     scale = [rate * g2 / cfg.sigma2 * cfg.n * d for rate, g2 in zip(cfg.rates, ch.gains2)]
-    f_follow = model.value(beta_star)
-    u = [s * f_follow / (beta_star * (1.0 + gn)) for s in scale]
-    u[leader] = scale[leader] * model.value(gamma_star) / (gamma_star * (1.0 + bn))
+    u = _leader_follower_utilities(model, beta_star, gn, scale)
+    u[leader], = _leader_follower_utilities(model, gamma_star, bn, scale[leader:leader + 1])
     return profile, UtilityProfile(tuple(u))
 
 

@@ -552,6 +552,50 @@ def test_best_response_deviation_runs(tmp_path):
     assert res["deviation_detected_at"] == "3"
 
 
+# three alike players with drawn (constant, unit) gains
+THREE_PLAYERS = {"model": EQUAL_BOUNDS["model"],
+                 "network": {**EQUAL_BOUNDS["network"], "k": 3, "n": 4}}
+
+
+@pytest.mark.parametrize("plan", [
+    ["--plan", "drg", "--lam", "0.05", "--stages", "0"],
+    ["--plan", "drg", "--lam", "0.05", "--stages", "-3"],
+    ["--plan", "frg", "--t", "12", "--t0", "3", "--stages", "5"],
+])
+def test_stages_below_one_or_under_an_frg_plan_exit_1(tmp_path, capsys, plan):
+    out = tmp_path / "trace.csv"
+    code, res = _run(["simulate", "--scenario", _scenario(tmp_path, doc=THREE_PLAYERS), *plan,
+                      "--out", str(out)])
+    assert code == 1 and res == {}
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --stages")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["equilibria", "--leader", "0"], "error: --leader 0 out of range 1..3"),
+    (["equilibria", "--leader", "4"], "error: --leader 4 out of range 1..3"),
+    (["simulate", "--plan", "drg", "--lam", "0.05", "--deviate",
+      "player=4,stage=2,power=max"], "error: deviation player 4 out of range 1..3"),
+    (["simulate", "--plan", "drg", "--lam", "0.05", "--deviate",
+      "player=0,stage=2,power=max"], "error: deviation player 0 out of range 1..3"),
+    (["simulate", "--plan", "drg", "--lam", "0.05", "--set",
+      'deviation={"player": 4, "stage": 2, "power": "max"}'],
+     "error: deviation player 4 out of range 1..3"),
+])
+def test_players_out_of_range_are_named_1_based(tmp_path, capsys, argv, message):
+    out = tmp_path / "trace.csv"
+    code, res = _run([*argv, "--scenario", _scenario(tmp_path, doc=THREE_PLAYERS)]
+                     + (["--out", str(out)] if argv[0] == "simulate" else []))
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [message]
+    # equilibria prints the one-shot and cooperative points before the leader's turn
+    assert sorted(res) == ([] if argv[0] == "simulate" else sorted(
+        f"{name}_{what}_{i}" for name in ("ne", "op") for what in ("power", "utility")
+        for i in (1, 2, 3)))
+    assert not out.exists()
+
+
 def test_module_entrypoint_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "powergame.cli", "solve", "--model", "exp",

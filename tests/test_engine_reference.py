@@ -8,6 +8,7 @@ exception type with the same message.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -18,17 +19,22 @@ from powergame.channel import ChannelMode, ChannelProcess, draw_sequence
 from powergame.efficiency import InfoTheoretic, PacketSuccess, solve_all, solve_beta_star
 from powergame.errors import SaturatedRegimeError
 from powergame.repeated import (
-    BestDeviation,
     DeviationScenario,
     DrgPlan,
     FrgPlan,
     Phase,
     StageRecord,
-    best_deviation,
+    _best_responses,
     make_machines,
     run_game,
 )
 from powergame.static_game import ChannelState, NetworkConfig, _equal_action, _stage_payoffs
+
+
+class BestDeviation(NamedTuple):
+    power: float
+    utility: float
+    saturated: bool
 
 
 def reference_best_deviation(model, cfg, ch, others, player, beta_star):
@@ -192,7 +198,12 @@ def test_best_deviation_is_the_scalar_best_response():
         ch = ChannelState(tuple(rng.uniform(cfg.eta_min, cfg.eta_max)))
         others = rng.uniform(0.0, 1.0, k) * np.asarray(cfg.p_max) * rng.choice([0.01, 1.0])
         i = int(rng.integers(k))
-        got = best_deviation(model, cfg, ch, others, i, sinrs.beta_star)
+        power, interference, saturated = _best_responses(
+            cfg, np.asarray(ch.gains2), others, i, sinrs.beta_star)
+        power, saturated = float(power), bool(saturated)
+        x = (cfg.n * power * ch.gains2[i] / float(interference) if saturated
+             else sinrs.beta_star)
+        got = BestDeviation(power, cfg.rates[i] * model.value(x) / power, saturated)
         want = reference_best_deviation(model, cfg, ch, others, i, sinrs.beta_star)
         assert (got.power, got.utility, got.saturated) == \
             (want.power, want.utility, want.saturated)

@@ -313,7 +313,7 @@ def test_t0_sweep_floor_puts_the_t0_ratio_on_target(m, k, n, target, ratio,
                            sinrs.beta_star, sinrs.gamma_tilde, target)
     assume(0.0 < floor < math.inf)
     at = _alike(k, n, sigma2, p_max, floor, ratio)
-    r = _t0_ratios(at, model, sinrs.beta_star, sinrs.gamma_tilde, 0)[0]
+    r = _t0_ratios(at, model, sinrs.beta_star, sinrs.gamma_tilde)[0]
     np.testing.assert_allclose(r, target, rtol=1e-9)
 
 

@@ -27,7 +27,6 @@ from powergame.repeated import (
     TriggerStrategy,
     averaged_utility_drg,
     averaged_utility_frg,
-    best_deviation,
     delta_gain,
     drg_truncation_horizon,
     lambda_bound,
@@ -423,12 +422,29 @@ def test_run_game_refuses_powers_above_the_cap():
         run_game(model, cfg, channels, strategy)
 
 
+class _Deviation(NamedTuple):
+    power: float
+    utility: float
+    saturated: bool
+
+
+def _best_deviation(model, cfg, ch, others, player, beta_star):
+    """The engine's one-stage best response of ``player`` to the ``others`` powers, and
+    its utility from the stage kernel; the entry of ``player`` in ``others`` is ignored."""
+    powers = np.array(getattr(others, "p", others), dtype=float)
+    power, _, saturated = repeated._best_responses(cfg, np.asarray(ch.gains2), powers,
+                                                   player, beta_star)
+    powers[player] = power
+    utils = _stage_payoffs(model, cfg, ch.gains2, powers)[1]
+    return _Deviation(float(power), float(utils[player]), bool(saturated))
+
+
 def test_best_deviation_matches_a_fine_grid_search():
     model, cfg, sinrs = _equal_bounds_scenario()
     ch = ChannelState((1.3, 0.7))
     others = op_profile(cfg, ch, sinrs.gamma_tilde)
     for i in range(2):
-        bd = best_deviation(model, cfg, ch, others, i, sinrs.beta_star)
+        bd = _best_deviation(model, cfg, ch, others, i, sinrs.beta_star)
         assert not bd.saturated
         # deviating lands exactly on the selfish SINR
         p = np.asarray(others.p).copy()
@@ -448,7 +464,7 @@ def test_best_deviation_saturates_at_the_cap():
     tight = NetworkConfig.uniform(k=2, n=1, sigma2=1.0, rate=1.0, p_max=0.2,
                                   eta_min=1.0, eta_max=1.0)
     ch = ChannelState((1.0, 1.0))
-    bd = best_deviation(model, tight, ch, (0.0, 0.5), 0, sinrs.beta_star)
+    bd = _best_deviation(model, tight, ch, (0.0, 0.5), 0, sinrs.beta_star)
     assert bd.saturated and bd.power == 0.2
 
 
@@ -458,7 +474,7 @@ def test_minmax_is_the_best_response_to_full_power():
     b = sinrs.beta_star
     for i in range(2):
         full = np.asarray(cfg.p_max)
-        bd = best_deviation(model, cfg, ch, full, i, b)
+        bd = _best_deviation(model, cfg, ch, full, i, b)
         assert not bd.saturated
         # minmax: rate n g_i f(b) / (b (sum_{j != i} P_j g_j + sigma2))
         interference = sum(cfg.p_max[j] * ch.gains2[j] for j in range(2) if j != i)
