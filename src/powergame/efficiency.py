@@ -42,6 +42,7 @@ import functools
 import operator
 import warnings
 from dataclasses import dataclass, field
+from itertools import repeat
 from math import inf, log, log1p
 
 import numpy as np
@@ -62,6 +63,9 @@ def _sinr_formula(positive: bool):
     numpy ufuncs (``np.exp``, ``np.power``) and ``x * x`` so that it gets the
     bits of a 0-d array.  Where a float divides by zero (x = 0 or x * x
     underflowing), and for any other input, the formula runs on a float array.
+    A list of numbers (the one-profile SINRs of ``static_game``) is checked in
+    Python, NaN failing, and becomes that array in one ``np.array`` call; a list
+    Python cannot compare with 0.0 (nested, or of strings) takes the array path.
     """
     in_domain = operator.gt if positive else operator.ge
     message = "SINR must be " + ("strictly positive here" if positive else "nonnegative")
@@ -77,6 +81,15 @@ def _sinr_formula(positive: bool):
                                  else formula(obj, x))
                 except ZeroDivisionError:
                     pass
+            elif type(x) is list:
+                try:
+                    inside = all(map(in_domain, x, repeat(0.0)))
+                except (TypeError, ValueError):  # not comparable item by item
+                    pass
+                else:
+                    if not inside:
+                        raise ValueError(message)
+                    return formula(obj, np.array(x, dtype=float), *args, **kwargs)
             arr = np.asarray(x, dtype=float)
             if not in_domain(arr, 0.0).all():
                 raise ValueError(message)
@@ -178,7 +191,8 @@ class InfoTheoretic:
 
     @_sinr_formula(positive=False)
     def value(self, x):
-        if type(x) is float:  # not np.float64(-0.0), which divides to -inf; 0.0 raises instead
+        # nothing divides by zero (a float zero raises, and the decorator retries it as an array)
+        if type(x) is float or np.count_nonzero(x) == np.size(x):
             return np.exp(-self.c / x)
         with np.errstate(divide="ignore"):  # x = 0 maps to exp(-inf) = 0
             return np.exp(-self.c / (x + 0.0))  # + 0.0 makes -0.0 into 0.0

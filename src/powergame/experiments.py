@@ -34,7 +34,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from ._version import VERSION
-from .channel import ChannelMode, ChannelProcess, draw_block
+from .channel import ChannelMode, ChannelProcess, draw_block, dynamics_db
 from .efficiency import PacketSuccess, solve_all
 from .errors import NoFiniteT0Error, NoNashEquilibriumError, SaturatedRegimeError
 from .repeated import (_bound_terms, _lambda_edge, _t0_edge, _t0_floor_edge, _t0_from_ratios,
@@ -342,7 +342,7 @@ def _dynamics_sweep(csv_path, out_dir, name, x_name, config, grid, edge):
         sinrs = solve_all(model, k, n)
         for x in grid:
             best = edge(model, k, n, sinrs, x)
-            rows.append(DynamicsRow(k, n, x, best, 10.0 * math.log10(best), True)
+            rows.append(DynamicsRow(k, n, x, best, dynamics_db(1.0, best), True)
                         if best >= 1.0 else DynamicsRow(k, n, x, 1.0, 0.0, False))
     csv_path = csv_path or _default_path(out_dir, name)
     _write_csv(csv_path, name, config, None,

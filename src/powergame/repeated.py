@@ -166,6 +166,16 @@ def _punish_interference(cfg: NetworkConfig) -> list[float]:
     return [sum(received[:i] + received[i + 1:]) + cfg.sigma2 for i in range(cfg.k)]
 
 
+@functools.lru_cache(maxsize=1, typed=True)
+def _bound_inputs(cfg: NetworkConfig, model: EfficiencyModel, beta_star: float,
+                  gamma_tilde: float) -> tuple[tuple[float, float, float], tuple[float, ...]]:
+    """``_bound_terms`` and ``_punish_interference``, kept for the last arguments:
+    ``rg_bounds`` and then ``t0_bound_exact_deviation`` on one report evaluate them
+    once.  An error is not kept, so it is raised on every call."""
+    return (_bound_terms(model, cfg.k, cfg.n, beta_star, gamma_tilde),
+            tuple(_punish_interference(cfg)))
+
+
 def _surplus(f_ne: float, phi_ne: float, phi_op: float) -> float:
     """delta = phi(gt) - phi(b) from the ``_bound_terms``, clipped at 0."""
     d = phi_op - phi_ne
@@ -182,31 +192,28 @@ def delta_gain(model: EfficiencyModel, k: int, n: int,
 
 
 def _t0_ratios(cfg: NetworkConfig, model: EfficiencyModel, beta_star: float,
-               gamma_tilde: float, exact_deviation: bool = False,
-               terms: tuple | None = None) -> list[float]:
-    """Real-valued endgame-length ratio of each player.
+               gamma_tilde: float, exact_deviation: bool = False) -> list[float]:
+    """Real-valued endgame-length ratio of each player, on ``_bound_inputs``.
 
-    The shared body of ``t0_bound``, ``t0_bound_exact_deviation`` and ``rg_bounds``,
-    which passes the ``_bound_terms`` it evaluated.  Empty below two players.
+    The shared body of ``t0_bound``, ``t0_bound_exact_deviation`` and ``rg_bounds``.
+    Empty below two players.
     """
     k, n = cfg.k, cfg.n
     if k < 2:
         return []
-    f_ne, phi_ne, phi_op = terms or _bound_terms(model, k, n, beta_star, gamma_tilde)
+    (f_ne, phi_ne, phi_op), interference = _bound_inputs(cfg, model, beta_star, gamma_tilde)
     deviation_term = f_ne / beta_star
     if exact_deviation:
         deviation_term = deviation_term * (1.0 - (k - 1) * gamma_tilde / n)
-    interference = _punish_interference(cfg)
     ratios = []
-    for i in range(k):
-        numerator = cfg.eta_max[i] * deviation_term - cfg.eta_min[i] * phi_op
-        denominator = cfg.eta_min[i] * phi_ne - cfg.eta_max[i] * f_ne / (
-            beta_star * interference[i])
+    for i, (lo, hi, punish) in enumerate(zip(cfg.eta_min, cfg.eta_max, interference)):
+        numerator = hi * deviation_term - lo * phi_op
+        denominator = lo * phi_ne - hi * f_ne / (beta_star * punish)
         if denominator <= 0.0:
             raise NoFiniteT0Error(
                 "full-power punishment too weak for player "
                 f"{i + 1}: eta_min*phi(beta_star) <= eta_max*f(beta_star)/"
-                f"(beta_star*(sum_j P_j_max*eta_j_min + sigma2)) = {-denominator + cfg.eta_min[i] * phi_ne}"
+                f"(beta_star*(sum_j P_j_max*eta_j_min + sigma2)) = {-denominator + lo * phi_ne}"
             )
         ratios.append(numerator / denominator)
     return ratios
@@ -302,12 +309,14 @@ def _lambda_edge(model: EfficiencyModel, k: int, n: int, beta_star: float,
 
 def rg_bounds(cfg: NetworkConfig, model: EfficiencyModel, beta_star: float,
               gamma_tilde: float) -> RgBounds:
-    """``t0_bound``, ``lambda_bound`` and ``delta_gain`` on one evaluation of their terms."""
-    terms = (_bound_terms(model, cfg.k, cfg.n, beta_star, gamma_tilde)
-             if gamma_tilde != beta_star else None)  # else t0 alone reads them, from two players
-    t0 = _t0_from_ratios(_t0_ratios(cfg, model, beta_star, gamma_tilde, terms=terms))
-    return (RgBounds(t0, _lambda_max(cfg, terms), _surplus(*terms)) if terms
-            else RgBounds(t0, 0.0, 0.0))
+    """``t0_bound``, ``lambda_bound`` and ``delta_gain`` on one evaluation of their terms.
+
+    t0 reads the terms first from two players on, so their errors come first."""
+    t0 = t0_bound(cfg, model, beta_star, gamma_tilde)
+    if gamma_tilde == beta_star:  # no surplus
+        return RgBounds(t0, 0.0, 0.0)
+    terms = _bound_inputs(cfg, model, beta_star, gamma_tilde)[0]
+    return RgBounds(t0, _lambda_max(cfg, terms), _surplus(*terms))
 
 
 def drg_truncation_horizon(lam: float, tail: float = 1e-12) -> int:

@@ -7,15 +7,23 @@ transmits at power p_i over a fading gain |g_i|^2 and earns
 
 where sinr_i = n * p_i |g_i|^2 / (sum_{j != i} p_j |g_j|^2 + sigma2).  The
 received action a_i = p_i |g_i|^2 is the natural variable: all equilibrium
-profiles below equalise actions, not powers.  Their powers, cap checks and
-utilities are Python floats, as ``+ - * /`` and comparisons round alike in
-floats and numpy; sums over players, ``**`` and ``exp`` stay numpy calls, since
-Python sums in another order and ``math`` need not round as numpy does.
+profiles below equalise actions, not powers.
+
+One profile (``utility``, ``sinr_all``, ``public_signal``, the equilibrium
+builders) is computed in Python floats, as ``+ - * /`` and comparisons round
+alike in floats and numpy; ``_stage_payoffs`` is the batch kernel of the engine
+and the region sampler.  The total over players is Python's left-to-right
+``sum`` for k <= 7, which is numpy's order there, and ``np.sum`` from k = 8 on,
+where numpy sums pairwise (``tests/test_static_game.py::
+test_stage_kernel_batch_is_bitwise_the_per_profile_functions`` checks the
+bytes).  ``**`` and ``exp`` stay vector numpy calls, as ``math`` and scalar
+``pow`` need not round as numpy's vector loops do.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
@@ -154,8 +162,8 @@ class PowerProfile:
     p: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "p", tuple(float(v) for v in self.p))
-        if any(v < 0.0 for v in self.p):
+        object.__setattr__(self, "p", tuple(map(float, self.p)))
+        if any(map((0.0).__gt__, self.p)):  # NaN passes, as it compares False
             raise ValueError("powers must be nonnegative")
 
 
@@ -164,16 +172,17 @@ class UtilityProfile:
     u: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "u", tuple(float(v) for v in self.u))
+        object.__setattr__(self, "u", tuple(map(float, self.u)))
 
 
 def _stage_payoffs(model: EfficiencyModel | None, cfg: NetworkConfig, gains2,
                    powers) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """SINRs, utilities and public signal of stage profiles shaped (..., k).
 
-    The one place the stage formula lives.  Utilities are zero at zero power,
-    where nothing is divided, and None when no model is given; the public
-    signal has the batch shape.
+    The batch stage formula, which ``_profile_sinrs`` and ``utility`` write out
+    for one profile in floats, term for term and at its bits.  Utilities are
+    zero at zero power, where nothing is divided, and None when no model is
+    given; the public signal has the batch shape.
     """
     gains2 = np.asarray(gains2)
     powers = np.asarray(powers)
@@ -187,19 +196,38 @@ def _stage_payoffs(model: EfficiencyModel | None, cfg: NetworkConfig, gains2,
     return sinrs, utils, cfg.sigma2 + total[..., 0]
 
 
+def _received(ch: ChannelState, profile: PowerProfile) -> tuple[list[float], float]:
+    """One profile's actions p_i |g_i|^2 and their total, at ``_stage_payoffs``' bits."""
+    if len(profile.p) != len(ch.gains2):
+        raise ValueError(f"{len(profile.p)} powers for {len(ch.gains2)} gains")
+    a = list(map(operator.mul, profile.p, ch.gains2))
+    return a, sum(a) if len(a) < 8 else float(np.sum(a))  # numpy's order, see above
+
+
+def _profile_sinrs(cfg: NetworkConfig, ch: ChannelState, profile: PowerProfile) -> list[float]:
+    """One profile's SINRs in floats: ``_stage_payoffs``' formula, term for term."""
+    a, total = _received(ch, profile)
+    n, sigma2 = cfg.n, cfg.sigma2
+    return [n * x / (total - x + sigma2) for x in a]
+
+
 def sinr_all(cfg: NetworkConfig, ch: ChannelState, profile: PowerProfile) -> np.ndarray:
-    return _stage_payoffs(None, cfg, ch.gains2, profile.p)[0]
+    return np.array(_profile_sinrs(cfg, ch, profile))
 
 
 def utility(model: EfficiencyModel, cfg: NetworkConfig, ch: ChannelState,
             profile: PowerProfile) -> UtilityProfile:
     """Per-player efficiency in bit/J; zero wherever the power is zero."""
-    return UtilityProfile(tuple(_stage_payoffs(model, cfg, ch.gains2, profile.p)[1]))
+    if len(profile.p) != cfg.k:
+        raise ValueError(f"{len(profile.p)} powers for k={cfg.k} players")
+    f = model.value(_profile_sinrs(cfg, ch, profile)).tolist()  # one vector call: numpy's **
+    return UtilityProfile([rate * v / p if p > 0.0 else 0.0
+                           for rate, v, p in zip(cfg.rates, f, profile.p)])
 
 
 def public_signal(cfg: NetworkConfig, ch: ChannelState, profile: PowerProfile) -> float:
     """Total received energy sigma2 + sum_i p_i |g_i|^2, observable by all."""
-    return float(_stage_payoffs(None, cfg, ch.gains2, profile.p)[2])
+    return float(cfg.sigma2 + _received(ch, profile)[1])
 
 
 def reconstruct_public_signal(p_i: float, gain2_i: float, sinr_i: float, n: int) -> float:
@@ -227,11 +255,11 @@ def _equal_action(cfg: NetworkConfig, x: float) -> float:
 
 def _actions_to_profile(cfg: NetworkConfig, ch: ChannelState, actions: Sequence[float],
                         label: str) -> PowerProfile:
-    p = tuple(a / g for a, g in zip(actions, ch.gains2))
-    for i, (power, cap) in enumerate(zip(p, cfg.p_max)):
-        if power > cap:
-            raise SaturatedRegimeError(f"{label} power {power} exceeds cap {cap} "
-                                       f"for player {i + 1}")
+    p = tuple(map(operator.truediv, actions, ch.gains2))
+    if any(map(operator.gt, p, cfg.p_max)):
+        i = next(i for i, (power, cap) in enumerate(zip(p, cfg.p_max)) if power > cap)
+        raise SaturatedRegimeError(f"{label} power {p[i]} exceeds cap {cfg.p_max[i]} "
+                                   f"for player {i + 1}")
     return PowerProfile(p)
 
 

@@ -18,7 +18,8 @@ from powergame.efficiency import (
     equal_action_utility,
     solve_all,
 )
-from powergame.errors import NoFiniteT0Error, NoNashEquilibriumError, SaturatedRegimeError
+from powergame.errors import (NoFiniteT0Error, NoNashEquilibriumError, PowerGameError,
+                              SaturatedRegimeError)
 from powergame.repeated import (
     DeviationScenario,
     DrgPlan,
@@ -153,6 +154,88 @@ def test_bounds_refuse_loads_without_a_one_shot_equilibrium():
         for bound in (t0_bound, t0_bound_exact_deviation, lambda_bound, rg_bounds):
             with pytest.raises(NoNashEquilibriumError, match="beta_star"):
                 bound(cfg, model, sinrs.beta_star, sinrs.gamma_tilde)
+
+
+_BOUNDS = (t0_bound_exact_deviation, t0_bound, rg_bounds)
+
+
+def _each_bound(cfg, model, beta_star, gamma_tilde):
+    """Each public bound, then the real-valued t0 ratios behind both t0 variants,
+    which a stale ``_bound_inputs`` hit would move even where a ceiling hides it."""
+    args = (cfg, model, beta_star, gamma_tilde)
+    return [bound(*args) for bound in _BOUNDS] + [
+        repeated._t0_ratios(*args, exact_deviation=exact) for exact in (False, True)]
+
+
+def test_shared_bound_inputs_serve_only_their_own_arguments():
+    model = PacketSuccess(4)
+    sinrs = solve_all(model, 3, 16)
+    args = (sinrs.beta_star, sinrs.gamma_tilde)
+    base = NetworkConfig(k=3, n=16, sigma2=1e-3, rates=1.0, p_max=(10.0, 15.0, 20.0),
+                         eta_min=(0.5, 0.6, 0.7), eta_max=(1.0, 1.3, 1.1))
+    cold = []
+    for bound in (*_BOUNDS, repeated._t0_ratios):
+        repeated._bound_inputs.cache_clear()
+        cold.append(bound(base, model, *args))
+    assert cold[:3] == [2, 3, repeated.RgBounds(3, 0.0028504713265502706, 0.008198262589523997)]
+    repeated._bound_inputs.cache_clear()
+    rg_bounds(base, model, *args)  # a report's order: rg_bounds, then the exact variant
+    assert _each_bound(base, model, *args)[:4] == cold
+
+    replace = dataclasses.replace
+    others = {  # (cfg, model) differing from base's in one field each
+        "p_max": (replace(base, p_max=(10.0, 15.0, 5.0)), model),
+        "eta_min": (replace(base, eta_min=(0.5, 0.6, 0.4)), model),
+        "eta_max": (replace(base, eta_max=(1.0, 1.3, 1.6)), model),
+        "sigma2": (replace(base, sigma2=3.0), model),
+        "n": (replace(base, n=17), model),
+        "k": (NetworkConfig(k=4, n=16, sigma2=1e-3, rates=1.0, p_max=(10.0, 15.0, 20.0, 10.0),
+                            eta_min=(0.5, 0.6, 0.7, 0.5), eta_max=(1.0, 1.3, 1.1, 1.0)), model),
+        "model": (base, InfoTheoretic(1.0)),
+        "failing model": (base, PacketSuccess(5)),  # rg_bounds raises after reading the inputs
+    }
+    expected = _each_bound(base, model, *args)
+    for name, (cfg, other_model) in others.items():
+        for i in range(len(expected)):
+            repeated._bound_inputs.cache_clear()
+            try:
+                rg_bounds(cfg, other_model, *args)
+            except PowerGameError:
+                assert name == "failing model"
+            assert _each_bound(base, model, *args)[i] == expected[i], (name, i)
+        if name != "failing model":
+            assert _each_bound(cfg, other_model, *args) != expected, name
+
+
+def test_shared_bound_inputs_tell_numpy_floats_from_floats():
+    model = InfoTheoretic(1.0)
+    sinrs = solve_all(model, 3, 16)
+    cfg = _uniform_cfg(3, 16, ratio=1.5)
+    as_numpy = (np.float64(sinrs.beta_star), np.float64(sinrs.gamma_tilde))
+    repeated._bound_inputs.cache_clear()
+    from_numpy = _each_bound(cfg, model, *as_numpy)
+    misses = repeated._bound_inputs.cache_info().misses
+    assert _each_bound(cfg, model, sinrs.beta_star, sinrs.gamma_tilde) == from_numpy
+    assert repeated._bound_inputs.cache_info().misses == misses + 1
+    repeated._bound_inputs(cfg, model, *as_numpy)
+    assert repeated._bound_inputs.cache_info().misses == misses + 2
+
+
+def test_bound_errors_are_raised_on_every_call():
+    model = PacketSuccess(4)
+    overloaded = solve_all(model, 2, 2)  # (k-1) beta_star >= n: no one-shot equilibrium
+    sinrs = solve_all(model, 2, 16)
+    weak = NetworkConfig.uniform(k=2, n=16, sigma2=1e-3, rate=1.0, p_max=1e-3,
+                                 eta_min=1.0, eta_max=2.0)
+    for cfg, (beta, gamma), error in (
+            (_uniform_cfg(2, 2), (overloaded.beta_star, overloaded.gamma_tilde),
+             NoNashEquilibriumError),
+            (weak, (sinrs.beta_star, sinrs.gamma_tilde), NoFiniteT0Error)):
+        repeated._bound_inputs.cache_clear()
+        for _ in range(2):
+            for bound in _BOUNDS:
+                with pytest.raises(error):
+                    bound(cfg, model, beta, gamma)
 
 
 def test_exact_deviation_bound_never_exceeds_worst_case_bound():

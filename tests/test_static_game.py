@@ -341,8 +341,29 @@ def test_region_sampler_warns_about_combinatorial_grids():
         sample_utility_region(model, cfg, ch, points_per_axis=4)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(k=st.integers(1, 9), rows=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+def _extreme_profiles(rng, rows, k):
+    """(gains2, powers), each (rows, k): zero powers of either sign and subnormal and huge
+    actions among ordinary ones, every sum finite, so that the one-profile floats meet
+    numpy's edges."""
+    gains2 = 10.0 ** rng.uniform(-3, 3, size=(rows, k))
+    powers = 10.0 ** rng.uniform(-4, 3, size=(rows, k))
+    kind = rng.random((rows, k))
+    powers[kind < 0.15] = 0.0  # zero power earns zero utility
+    powers[kind < 0.05] = -0.0
+    subnormal = (kind >= 0.15) & (kind < 0.3)
+    powers[subnormal] = 10.0 ** rng.uniform(-322, -309, subnormal.sum()) / gains2[subnormal]
+    huge = (kind >= 0.3) & (kind < 0.4)  # at most 12 * 1e305 in a sum, 64 * 1e305 in n * a
+    powers[huge] = 10.0 ** rng.uniform(250, 305, huge.sum()) / gains2[huge]
+    return gains2, powers
+
+
+def _bits(values) -> bytes:
+    """The bytes of each float: unlike ==, tells -0.0 from 0.0 and compares NaNs."""
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(1, 12), rows=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
        pkt=st.booleans())
 def test_stage_kernel_batch_is_bitwise_the_per_profile_functions(k, rows, seed, pkt):
     rng = np.random.default_rng(seed)
@@ -352,16 +373,16 @@ def test_stage_kernel_batch_is_bitwise_the_per_profile_functions(k, rows, seed, 
                         sigma2=float(10.0 ** rng.uniform(-4, 1)),
                         rates=tuple(rng.uniform(0.5, 2.0, k)), p_max=1e3,
                         eta_min=1e-3, eta_max=1e3)
-    gains2 = 10.0 ** rng.uniform(-3, 3, size=(rows, k))
-    powers = 10.0 ** rng.uniform(-4, 3, size=(rows, k))
-    powers[rng.random((rows, k)) < 0.2] = 0.0  # zero power earns zero utility
-    sinrs, utils, omega = _stage_payoffs(model, cfg, gains2, powers)
-    assert sinrs.shape == utils.shape == (rows, k) and omega.shape == (rows,)
-    for r in range(rows):
-        ch, prof = ChannelState(tuple(gains2[r])), PowerProfile(tuple(powers[r]))
-        assert sinrs[r].tobytes() == sinr_all(cfg, ch, prof).tobytes()
-        assert tuple(utils[r]) == utility(model, cfg, ch, prof).u
-        assert float(omega[r]) == public_signal(cfg, ch, prof)
+    gains2, powers = _extreme_profiles(rng, rows, k)
+    with np.errstate(over="ignore"):  # c/x and f/p past the float range are inf
+        sinrs, utils, omega = _stage_payoffs(model, cfg, gains2, powers)
+        assert sinrs.shape == utils.shape == (rows, k) and omega.shape == (rows,)
+        for r in range(rows):
+            ch, prof = ChannelState(tuple(gains2[r])), PowerProfile(tuple(powers[r]))
+            got = sinr_all(cfg, ch, prof)
+            assert type(got) is np.ndarray and _bits(sinrs[r]) == _bits(got)
+            assert _bits(utils[r]) == _bits(utility(model, cfg, ch, prof).u)
+            assert _bits(omega[r]) == _bits(public_signal(cfg, ch, prof))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -370,10 +391,35 @@ def test_public_signal_is_bitwise_the_kernel(k, seed):
     rng = np.random.default_rng(seed)
     cfg = NetworkConfig(k=k, n=int(rng.integers(1, 64)), sigma2=float(10.0 ** rng.uniform(-4, 1)),
                         rates=1.0, p_max=1e3, eta_min=1e-3, eta_max=1e3)
-    ch = ChannelState(tuple(10.0 ** rng.uniform(-3, 3, k)))
-    powers = 10.0 ** rng.uniform(-4, 3, k)
-    powers[rng.random(k) < 0.2] = 0.0
-    profile = PowerProfile(tuple(powers))
+    gains2, powers = _extreme_profiles(rng, 1, k)
+    ch, profile = ChannelState(tuple(gains2[0])), PowerProfile(tuple(powers[0]))
     got = public_signal(cfg, ch, profile)
     assert type(got) is float
-    assert np.float64(got).tobytes() == _stage_payoffs(None, cfg, ch.gains2, profile.p)[2].tobytes()
+    assert _bits(got) == _bits(_stage_payoffs(None, cfg, ch.gains2, profile.p)[2])
+
+
+@pytest.mark.parametrize("model", [PacketSuccess(3), InfoTheoretic(1.0)])
+def test_an_infinite_power_fails_as_the_kernel_does(model):
+    cfg = NetworkConfig(k=3, n=8, sigma2=1e-3, rates=1.0, p_max=1e3, eta_min=1e-3, eta_max=1e3)
+    ch, prof = ChannelState((1.0, 2.0, 0.5)), PowerProfile((0.1, math.inf, 0.2))
+    with np.errstate(invalid="ignore"):  # inf - inf in the kernel's denominators
+        sinrs = _stage_payoffs(None, cfg, ch.gains2, prof.p)[0]
+        with pytest.raises(ValueError) as kernel:
+            _stage_payoffs(model, cfg, ch.gains2, prof.p)
+    assert np.isnan(sinrs[1]) and _bits(sinrs) == _bits(sinr_all(cfg, ch, prof))
+    with pytest.raises(ValueError) as floats:
+        utility(model, cfg, ch, prof)
+    assert str(floats.value) == str(kernel.value) == "SINR must be nonnegative"
+
+
+def test_a_profile_must_match_its_gains_and_players():
+    cfg = NetworkConfig(k=2, n=8, sigma2=1e-3, rates=1.0, p_max=1e3, eta_min=1e-3, eta_max=1e3)
+    ch = ChannelState((1.0, 2.0))
+    for bad in (PowerProfile((0.1,)), PowerProfile((0.1, 0.2, 0.3))):
+        for call in (lambda: sinr_all(cfg, ch, bad), lambda: public_signal(cfg, ch, bad),
+                     lambda: utility(PacketSuccess(2), cfg, ch, bad)):
+            with pytest.raises(ValueError, match="powers for"):
+                call()
+    three = NetworkConfig(k=3, n=8, sigma2=1e-3, rates=1.0, p_max=1e3, eta_min=1e-3, eta_max=1e3)
+    with pytest.raises(ValueError, match="2 powers for k=3 players"):
+        utility(PacketSuccess(2), three, ch, PowerProfile((0.1, 0.2)))
