@@ -191,8 +191,7 @@ class InfoTheoretic:
 
     @_sinr_formula(positive=False)
     def value(self, x):
-        # nothing divides by zero (a float zero raises, and the decorator retries it as an array)
-        if type(x) is float or np.count_nonzero(x) == np.size(x):
+        if type(x) is float:  # not np.float64(-0.0), which divides to -inf; 0.0 raises instead
             return np.exp(-self.c / x)
         with np.errstate(divide="ignore"):  # x = 0 maps to exp(-inf) = 0
             return np.exp(-self.c / (x + 0.0))  # + 0.0 makes -0.0 into 0.0

@@ -12,12 +12,14 @@ profiles below equalise actions, not powers.
 One profile (``utility``, ``sinr_all``, ``public_signal``, the equilibrium
 builders) is computed in Python floats, as ``+ - * /`` and comparisons round
 alike in floats and numpy; ``_stage_payoffs`` is the batch kernel of the engine
-and the region sampler.  The total over players is Python's left-to-right
-``sum`` for k <= 7, which is numpy's order there, and ``np.sum`` from k = 8 on,
-where numpy sums pairwise (``tests/test_static_game.py::
-test_stage_kernel_batch_is_bitwise_the_per_profile_functions`` checks the
-bytes).  ``**`` and ``exp`` stay vector numpy calls, as ``math`` and scalar
-``pow`` need not round as numpy's vector loops do.
+and the region sampler.  The total over players is added left to right from
+0.0 for k <= 7, which is numpy's order there (-0.0 terms sum to 0.0), and is
+``np.sum`` from k = 8 on, where numpy sums pairwise.  Not Python's ``sum``,
+which compensates its rounding from Python 3.12 on.  ``tests/test_static_game.py``
+checks the bytes: ``test_one_profile_total_is_numpys_sum`` and
+``test_stage_kernel_batch_is_bitwise_the_per_profile_functions``.  ``**`` and
+``exp`` stay vector numpy calls, as ``math`` and scalar ``pow`` need not round
+as numpy's vector loops do.
 """
 
 from __future__ import annotations
@@ -201,7 +203,12 @@ def _received(ch: ChannelState, profile: PowerProfile) -> tuple[list[float], flo
     if len(profile.p) != len(ch.gains2):
         raise ValueError(f"{len(profile.p)} powers for {len(ch.gains2)} gains")
     a = list(map(operator.mul, profile.p, ch.gains2))
-    return a, sum(a) if len(a) < 8 else float(np.sum(a))  # numpy's order, see above
+    if len(a) >= 8:  # numpy's pairwise blocks, see above
+        return a, float(np.sum(a))
+    total = 0.0
+    for x in a:
+        total += x
+    return a, total
 
 
 def _profile_sinrs(cfg: NetworkConfig, ch: ChannelState, profile: PowerProfile) -> list[float]:

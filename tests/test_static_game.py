@@ -16,6 +16,7 @@ from powergame.static_game import (
     NetworkConfig,
     PowerProfile,
     UtilityProfile,
+    _received,
     _stage_payoffs,
     ne_action,
     ne_profile,
@@ -360,6 +361,22 @@ def _extreme_profiles(rng, rows, k):
 def _bits(values) -> bytes:
     """The bytes of each float: unlike ==, tells -0.0 from 0.0 and compares NaNs."""
     return np.asarray(values, dtype=float).tobytes()
+
+
+def test_one_profile_total_is_numpys_sum():
+    """The float total of one profile's actions has ``np.sum``'s bytes where the order
+    of the additions shows: terms of like size rounding differently in another order,
+    and negative zeros, which numpy sums to 0.0 from its 0.0 start."""
+    rng = np.random.default_rng(7)
+    for k in range(1, 21):
+        ch = ChannelState((1.0,) * k)  # the actions are the powers, exactly
+        for _ in range(300):
+            a = rng.uniform(0.0, 1.0, k) * 10.0 ** rng.integers(0, 17, k)
+            a[rng.random(k) < 0.2] = -0.0
+            assert _bits(_received(ch, PowerProfile(tuple(a)))[1]) == _bits(np.sum(a)), (k, a)
+        zeros = np.full(k, -0.0)
+        assert _bits(_received(ch, PowerProfile(tuple(zeros)))[1]) == _bits(np.sum(zeros)) \
+            == _bits(0.0)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
