@@ -17,10 +17,12 @@ coefficient A >= 0:
 * A built from beta_star gives the hierarchical leader SINR (``gamma_star``).
 
 Each family solves it in ``_root(A)``: InfoTheoretic in the closed form
-c/(1 + A*c), PacketSuccess bracketed and refined to the float plain bisection
-returns (``roots.bisect`` locates the crossing by regula falsi and replays the
-bisection, evaluating only near the root) on the ratio form
-x*(1 - A*x)*f'(x)/f(x) - 1, finite where f underflows (tiny SINR, large m).
+c/(1 + A*c), PacketSuccess to the float plain bisection returns on the bracket
+grown from 1, for the ratio form x*(1 - A*x)*f'(x)/f(x) - 1, finite where f
+underflows (tiny SINR, large m).  Newton's method in ``math`` floats locates
+that crossing, and ``roots.bisect_near`` derives the bracket from it and
+replays the bisection, evaluating the ratio form only near the root; beta_star
+(A = 0) is kept per m.
 
 Every function of the SINR but PacketSuccess's root function (floats x > 0
 only) goes through one decorator, ``_sinr_formula``, which rejects SINRs outside
@@ -43,12 +45,12 @@ import operator
 import warnings
 from dataclasses import dataclass, field
 from itertools import repeat
-from math import inf, log, log1p
+from math import expm1, inf, log, log1p, nan
 
 import numpy as np
 
 from .errors import NoNashEquilibriumError
-from .roots import bisect, expand_bracket
+from .roots import bisect, bisect_near, expand_bracket
 
 
 class UniquenessRiskWarning(UserWarning):
@@ -111,6 +113,11 @@ class PacketSuccess:
         if int(self.m) != self.m or self.m < 1:
             raise ValueError("packet length m must be a positive integer")
         object.__setattr__(self, "m", int(self.m))
+        try:  # the root solve computes with m as a float
+            float(self.m)
+        except OverflowError:
+            raise ValueError("packet length m must round to a finite float (below about 1.8e308)"
+                             ) from None
 
     @_sinr_formula(positive=False)
     def value(self, x):
@@ -152,18 +159,69 @@ class PacketSuccess:
         m = 1 has none, as x e^-x/(1 - e^-x) < 1: 0.0, the boundary optimum x -> 0."""
         if self.m == 1:
             return 0.0
-
-        def g(x: float) -> float:  # dlog in floats; e = 1 (x < 2**-54) divides by zero: inf
-            e = float(np.exp(-x))
-            return x * (1.0 - coeff * x) * (self.m * e / (1.0 - e) if e < 1.0 else inf) - 1.0
-
-        return bisect(g, *expand_bracket(g))
+        return _packet_beta_star(self.m) if coeff == 0.0 else _packet_root(self.m, coeff)
 
     def _crossing(self, k: int, n: int) -> float:
         def h(x: float) -> float:
             return self.curvature_ratio(x) - 2.0 * (k - 1) / (n - (k - 1) * x)
 
         return bisect(h, 0.0, n / (k - 1))
+
+
+BETA_STAR_MEMO = 256  # packet lengths whose beta_star _packet_beta_star keeps
+
+
+@functools.lru_cache(maxsize=BETA_STAR_MEMO)
+def _packet_beta_star(m: int) -> float:
+    """PacketSuccess(m)'s beta_star, kept per m: callers build a fresh model for each solve."""
+    return _packet_root(m, 0.0)
+
+
+def _packet_root(m: int, coeff: float) -> float:
+    """``bisect(g, *expand_bracket(g))`` for PacketSuccess(m)'s g, by ``bisect_near`` from
+    ``_newton``'s estimate, or by those searches where the estimate cannot stand in."""
+
+    def g(x: float) -> float:  # dlog in floats; e = 1 (x < 2**-54) divides by zero: inf
+        e = float(np.exp(-x))
+        return x * (1.0 - coeff * x) * (m * e / (1.0 - e) if e < 1.0 else inf) - 1.0
+
+    x = _newton(m, coeff)
+    # Below 1/16 one step of the rounded e**-x spans more than GUARD_ULPS floats of x,
+    # and where x (1 - coeff x) rises (2 coeff x < 1; m = 2 at small x) g rises along
+    # the step: its signs can flicker across it.  bisect's own search decides there.
+    root = None if x < 0.0625 and 2.0 * coeff * x < 1.0 else bisect_near(g, x)
+    return bisect(g, *expand_bracket(g)) if root is None else root
+
+
+NEWTON_STEPS = 50  # _newton gives up (NaN) after this many steps
+
+
+def _newton(m: int, coeff: float) -> float:
+    """The root of PacketSuccess(m)'s g to about an ulp, in floats; NaN where this fails.
+
+    g has the sign of H(x) = x (1 - coeff x) - (e**x - 1)/m, which is concave
+    for coeff >= 0, 0 at 0 and rising there, so it falls through its positive
+    root.  Newton's method from a start where H < 0 falls onto that root
+    without passing it.  Such a start: 1/coeff, and log m + log(1 + log m) + 1
+    for every m >= 2.  ``math``'s expm1 stands in for numpy's exp, and past
+    e**x ~ 1e308 (m above about 1e305) this gives up.
+    """
+    if not 0.0 <= coeff < inf:
+        return nan
+    log_m = log(m)
+    x = log_m + log1p(log_m) + 1.0
+    if coeff * x > 1.0:
+        x = 1.0 / coeff
+    try:
+        for _ in range(NEWTON_STEPS):
+            grown = expm1(x) / m
+            step = (x * (1.0 - coeff * x) - grown) / (1.0 - 2.0 * coeff * x - grown - 1.0 / m)
+            x -= step
+            if abs(step) <= 1e-9 * x:
+                return x
+    except OverflowError:  # expm1 past x = 709.78
+        pass
+    return nan
 
 
 @dataclass(frozen=True)

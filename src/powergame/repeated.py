@@ -163,7 +163,13 @@ def _bound_terms(model: EfficiencyModel, k: int, n: int, beta_star: float,
 def _punish_interference(cfg: NetworkConfig) -> list[float]:
     """Each player's noise plus the others' received power at full power and the gain floor."""
     received = [p * eta for p, eta in zip(cfg.p_max, cfg.eta_min)]
-    return [sum(received[:i] + received[i + 1:]) + cfg.sigma2 for i in range(cfg.k)]
+    out = []
+    for i in range(cfg.k):
+        total = 0.0  # left to right, as Python's sum did before 3.12 compensated it
+        for x in received[:i] + received[i + 1:]:
+            total += x
+        out.append(total + cfg.sigma2)
+    return out
 
 
 @functools.lru_cache(maxsize=1, typed=True)

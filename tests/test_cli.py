@@ -81,6 +81,15 @@ def test_rate_without_a_positive_finite_c_exits_1(rate, capsys):
         "error: c = 2**rate - 1 must be positive and finite, got c = ")
 
 
+def test_a_packet_length_no_float_holds_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out = _run(["solve", "--model", "pkt", "--m", str(10**400), "--k", "2", "--n", "16"])
+    assert code == 1 and out == {}
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: packet length m must round to a finite")
+    assert list(tmp_path.iterdir()) == []  # nothing written
+
+
 def test_solve_single_player_folds_to_beta_star():
     code, out = _run(["solve", "--model", "pkt", "--m", "2", "--k", "1"])
     assert code == 0

@@ -357,7 +357,8 @@ def test_nan_sinr_is_outside_every_domain():
 
 def test_solve_gamma_tilde_bisects_only_its_root(monkeypatch):
     # the single-crossing decision is a sign argument: no bisection on h, and
-    # InfoTheoretic's root and crossing are closed forms: no bisection at all
+    # InfoTheoretic's root and crossing are closed forms: no bisection at all.
+    # PacketSuccess solves its root through _packet_root; bisect is left to h.
     from powergame import efficiency
 
     calls = []
@@ -366,7 +367,12 @@ def test_solve_gamma_tilde_bisects_only_its_root(monkeypatch):
         calls.append((lo, hi))
         return bisect(fn, lo, hi, *args, **kwargs)
 
+    def counting_root(m, coeff, real=efficiency._packet_root):
+        calls.append((m, coeff))
+        return real(m, coeff)
+
     monkeypatch.setattr(efficiency, "bisect", counting_bisect)
+    monkeypatch.setattr(efficiency, "_packet_root", counting_root)
     for model, bisections in ((PacketSuccess(10), 1), (InfoTheoretic(1.0), 0)):
         calls.clear()
         x = solve_gamma_tilde(model, 5, 16)
@@ -379,17 +385,18 @@ def test_solve_gamma_tilde_bisects_only_its_root(monkeypatch):
         assert ok and x0 is not None and len(calls) == bisections
 
 
-
 def test_solve_all_for_one_player_bisects_beta_star_once(monkeypatch):
+    # counted as root solves, from a cold beta_star memo
     from powergame import efficiency
 
     calls = []
 
-    def counting_bisect(fn, lo, hi, *args, **kwargs):
-        calls.append((lo, hi))
-        return bisect(fn, lo, hi, *args, **kwargs)
+    def counting_root(m, coeff, real=efficiency._packet_root):
+        calls.append((m, coeff))
+        return real(m, coeff)
 
-    monkeypatch.setattr(efficiency, "bisect", counting_bisect)
+    monkeypatch.setattr(efficiency, "_packet_root", counting_root)
+    efficiency._packet_beta_star.cache_clear()
     sinrs = solve_all(PacketSuccess(10), 1, 128)
     assert len(calls) == 1
     assert sinrs.gamma_tilde == sinrs.gamma_star == sinrs.beta_star == solve_beta_star(
@@ -507,3 +514,26 @@ def test_from_c_keeps_c_exactly(c):
 def test_from_c_needs_a_positive_finite_c(c):
     with pytest.raises(ValueError, match="c must be positive and finite, got c = "):
         InfoTheoretic.from_c(c)
+
+
+@pytest.mark.parametrize("m", [2**1024, 10**400])
+def test_packet_length_past_the_float_range_is_rejected(m):
+    # the root solve computes with m as a float: it once died with OverflowError
+    with pytest.raises(ValueError, match="packet length m must round to a finite float"):
+        PacketSuccess(m)
+
+
+def test_closed_forms_make_no_root_estimate(monkeypatch):
+    # InfoTheoretic and PacketSuccess(1) answer without Newton's estimate or the replay
+    from powergame import efficiency
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a root estimate ran")
+
+    monkeypatch.setattr(efficiency, "_newton", refuse)
+    monkeypatch.setattr(efficiency, "bisect_near", refuse)
+    for model in (InfoTheoretic(1.0), PacketSuccess(1)):
+        with pytest.warns(UniquenessRiskWarning) if model == PacketSuccess(1) else _nullcontext():
+            solve_gamma_tilde(model, 3, 8)
+        solve_beta_star(model)
+        solve_gamma_star(model, 3, 8, solve_beta_star(model))

@@ -10,12 +10,13 @@ message must match.
 from math import ceil
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from powergame import efficiency
 from powergame.efficiency import InfoTheoretic, PacketSuccess, _require_one_shot, solve_all
-from powergame.errors import NoFiniteT0Error, PowerGameError, SaturatedRegimeError
+from powergame.errors import (NoFiniteT0Error, NoNashEquilibriumError, PowerGameError,
+                              SaturatedRegimeError)
 from powergame.repeated import RgBounds, rg_bounds
 from powergame.static_game import (
     ChannelState,
@@ -155,9 +156,12 @@ def _games(draw):
     else:
         model = InfoTheoretic(draw(st.floats(0.05, 5.0)))
     k = draw(st.integers(1, 8))
-    s = solve_all(model, k, draw(st.integers(1, 64)) if k == 1 else
-                  max(1, int((k - 1) * solve_all(model, 1, 1).beta_star
-                             / draw(st.floats(0.02, 1.2)))))
+    try:
+        s = solve_all(model, k, draw(st.integers(1, 64)) if k == 1 else
+                      max(1, int((k - 1) * solve_all(model, 1, 1).beta_star
+                                 / draw(st.floats(0.02, 1.2)))))
+    except NoNashEquilibriumError:  # int() rounded n down past (k - 2) beta_star: no game
+        assume(False)
     per_player = st.lists(st.floats(-2.0, 2.0), min_size=k, max_size=k)
     eta_min = [10.0 ** e for e in draw(per_player)]
     eta_max = [lo * (1.0 + 4.0 * u) for lo, u in
@@ -190,14 +194,18 @@ def test_reports_are_bitwise_the_numpy_formulation(game):
 
 
 def _root_function(model, coeff):
-    """The g that PacketSuccess._root hands to the bracket search."""
+    """The g that PacketSuccess._root hands to the root search, ``bisect_near`` or the
+    expanded bracket's (beta_star memo cold)."""
     seen = []
-    real = efficiency.expand_bracket
+    near, expand = efficiency.bisect_near, efficiency.expand_bracket
+    efficiency.bisect_near = lambda g, x: seen.append(g) or 1.0
     efficiency.expand_bracket = lambda g: seen.append(g) or (1.0, 1.0)
+    efficiency._packet_beta_star.cache_clear()
     try:
         model._root(coeff)
     finally:
-        efficiency.expand_bracket = real
+        efficiency.bisect_near, efficiency.expand_bracket = near, expand
+        efficiency._packet_beta_star.cache_clear()
     return seen[0]
 
 

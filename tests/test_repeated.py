@@ -889,3 +889,14 @@ def test_trace_labels_follow_the_strategy_schedule(game):
                                                  for t in range(1, stages + 1)]
     if scenario is None:
         assert not seen
+
+
+def test_punish_interference_adds_left_to_right():
+    # the others' received powers [1.0, 1e-16, 1e-16]: added left to right, each 1e-16
+    # is lost against 1.0; a compensated sum (Python's sum from 3.12, math.fsum) keeps
+    # 2e-16 and rounds up to the next float
+    cfg = NetworkConfig(k=4, n=8, sigma2=2.0 ** -60, rates=1.0,
+                        p_max=(3.0, 1.0, 1e-16, 1e-16), eta_min=1.0, eta_max=1.0)
+    received = [1.0, 1e-16, 1e-16]
+    assert math.fsum(received) + cfg.sigma2 == math.nextafter(1.0, 2.0)
+    assert repeated._punish_interference(cfg)[0] == 1.0

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from powergame import efficiency
 from powergame.efficiency import (
     InfoTheoretic,
     PacketSuccess,
@@ -15,7 +16,7 @@ from powergame.efficiency import (
     leader_coefficient,
     solve_beta_star,
 )
-from powergame.roots import MAX_STEPS, REL_TOL, bisect, expand_bracket
+from powergame.roots import MAX_STEPS, REL_TOL, _halve_to_band, bisect, bisect_near, expand_bracket
 
 
 def _plain_bisect(fn, lo, hi):
@@ -190,3 +191,110 @@ def test_bisect_is_bounded_on_a_bad_fn(fn, lo, hi):
     assert lo <= x <= hi
     assert len(calls) <= 2 * MAX_STEPS  # the locate loop and the replay loop
     assert all(lo < c < hi for c in calls)
+
+
+def _numpy_g(m, coeff):
+    # the characteristic equation with numpy's exp, written out apart from the library's
+    def g(x):
+        e = float(np.exp(-x))
+        return x * (1.0 - coeff * x) * (m * e / (1.0 - e) if e < 1.0 else math.inf) - 1.0
+
+    return g
+
+
+LARGE_M = (10**6, 2**53 + 1, 10**100, 10**300, 10**308)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(m=st.one_of(st.integers(2, 200), st.sampled_from(LARGE_M)),
+       kind=st.sampled_from(COEFFICIENT_KINDS), gap=st.floats(1e-3, 0.999),
+       k=st.integers(3, 200), warm=st.booleans())
+def test_packet_root_is_plain_bisection_on_the_expanded_bracket(m, kind, gap, k, warm):
+    # the production path: Newton's estimate, the checked replay, the beta_star memo
+    model = PacketSuccess(m)
+    coeff = _coefficient(kind, solve_beta_star(model), gap, k)
+    if not warm:
+        efficiency._packet_beta_star.cache_clear()
+    g = _numpy_g(m, coeff)
+    assert model._root(coeff) == _plain_bisect(g, *expand_bracket(g))
+
+
+@pytest.mark.parametrize("m", [2, 3, 10, 100, 10**100])
+def test_packet_roots_next_to_a_power_of_two_take_the_expanded_bracket(m, monkeypatch):
+    # coeff places the root of g at x, within 3 ulps of 2**j: the band holds 2**j
+    model = PacketSuccess(m)
+    beta = solve_beta_star(model)
+    expanded = []
+    monkeypatch.setattr(efficiency, "expand_bracket",
+                        lambda fn: expanded.append(fn) or expand_bracket(fn))
+    cases = 0
+    for j in range(-8, math.floor(math.log2(beta)) + 1):
+        for i in range(-3, 4):
+            x = 2.0 ** j * (1.0 + i * 2.0 ** -52)
+            if x > beta:
+                continue
+            coeff = (1.0 - 1.0 / (x * model.dlog(x))) / x
+            g = _numpy_g(m, coeff)
+            assert model._root(coeff) == _plain_bisect(g, *expand_bracket(g)), (j, i)
+            cases += 1
+    assert cases and len(expanded) == cases
+
+
+def _flickering(root, width, seed):
+    # a crossing at root whose sign is hashed within width ulps of it
+    def fn(x):
+        if abs(x - root) <= width * math.ulp(root):
+            return 1.0 if hash((x, seed)) % 2 else -1.0
+        return root - x
+
+    return fn
+
+
+@pytest.mark.parametrize("root", [1.37, 3.0e-5, 611.2, 1.0 + 2.0 ** -40, 2.0 ** 90 * 1.5])
+def test_bisect_near_is_bisect_on_the_expanded_bracket_or_none(root):
+    ulp = math.ulp(root)
+    near = [root + i * ulp for i in range(-6, 7)]
+    off = [root + i * ulp for i in range(-48, 49, 3)]
+    wrong = [root + 1e6 * ulp, root - 1e6 * ulp, 2.0 * root, 0.5 * root, 1.0, 0.0, -root,
+             math.inf, -math.inf, math.nan]
+    for seed in range(6):
+        fn = _flickering(root, 3, seed)
+        want = _plain_bisect(fn, *expand_bracket(fn))
+        assert all(bisect_near(fn, x) == want for x in near), seed
+        assert all(bisect_near(fn, x) in (want, None) for x in off), seed
+        assert all(bisect_near(fn, x) is None for x in wrong), seed
+
+
+def _halvings(lo, hi, left, right):
+    # the loop _halve_to_band replaces with a closed form on a binade
+    for step in range(MAX_STEPS):
+        mid = 0.5 * (lo + hi)
+        if mid < left:
+            lo = mid
+        elif mid > right:
+            hi = mid
+        else:
+            return lo, hi, step
+    return lo, hi, MAX_STEPS
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(j=st.integers(-1000, 1000), first=st.integers(1, 2**52 - 1),
+       width=st.one_of(st.integers(0, 64), st.integers(0, 2**52)))
+def test_closed_form_halvings_are_the_loop(j, first, width):
+    lo = 2.0 ** j
+    last = min(first + width, 2**52 - 1)
+    left, right = lo + first * math.ulp(lo), lo + last * math.ulp(lo)
+    assert _halve_to_band(lo, 2.0 * lo, left, right) == _halvings(lo, 2.0 * lo, left, right)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(exponent=st.floats(-6.0, math.log10(0.0625)))
+def test_flat_stepped_packet_roots_take_bisects_search(exponent):
+    # m = 2 at x < 1/16: x (1 - A x) rises along each step of the rounded e**-x, wider
+    # than the band, and g's signs can flicker across a step; there no plain-bisection
+    # oracle holds, and the root must be bisect's own on the expanded bracket
+    model, x = PacketSuccess(2), 10.0 ** exponent
+    coeff = (1.0 - 1.0 / (x * model.dlog(x))) / x
+    g = _numpy_g(2, coeff)
+    assert model._root(coeff) == bisect(g, *expand_bracket(g))
