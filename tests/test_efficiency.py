@@ -386,15 +386,21 @@ def test_solve_gamma_tilde_bisects_only_its_root(monkeypatch):
 
 
 def test_solve_all_for_one_player_bisects_beta_star_once(monkeypatch):
-    # counted as root solves, from a cold beta_star memo
+    # every root search counts, bisections and PacketSuccess root solves, from a
+    # cold beta_star memo
     from powergame import efficiency
 
     calls = []
+
+    def counting_bisect(fn, lo, hi, *args, **kwargs):
+        calls.append((lo, hi))
+        return bisect(fn, lo, hi, *args, **kwargs)
 
     def counting_root(m, coeff, real=efficiency._packet_root):
         calls.append((m, coeff))
         return real(m, coeff)
 
+    monkeypatch.setattr(efficiency, "bisect", counting_bisect)
     monkeypatch.setattr(efficiency, "_packet_root", counting_root)
     efficiency._packet_beta_star.cache_clear()
     sinrs = solve_all(PacketSuccess(10), 1, 128)

@@ -10,13 +10,12 @@ message must match.
 from math import ceil
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powergame import efficiency
 from powergame.efficiency import InfoTheoretic, PacketSuccess, _require_one_shot, solve_all
-from powergame.errors import (NoFiniteT0Error, NoNashEquilibriumError, PowerGameError,
-                              SaturatedRegimeError)
+from powergame.errors import NoFiniteT0Error, PowerGameError, SaturatedRegimeError
 from powergame.repeated import RgBounds, rg_bounds
 from powergame.static_game import (
     ChannelState,
@@ -156,12 +155,10 @@ def _games(draw):
     else:
         model = InfoTheoretic(draw(st.floats(0.05, 5.0)))
     k = draw(st.integers(1, 8))
-    try:
-        s = solve_all(model, k, draw(st.integers(1, 64)) if k == 1 else
-                      max(1, int((k - 1) * solve_all(model, 1, 1).beta_star
-                                 / draw(st.floats(0.02, 1.2)))))
-    except NoNashEquilibriumError:  # int() rounded n down past (k - 2) beta_star: no game
-        assume(False)
+    bs = solve_all(model, 1, 1).beta_star
+    # n past (k - 2) beta_star, where a leader-follower game exists
+    s = solve_all(model, k, draw(st.integers(1, 64)) if k == 1 else
+                  max(int((k - 2) * bs) + 1, int((k - 1) * bs / draw(st.floats(0.02, 1.2)))))
     per_player = st.lists(st.floats(-2.0, 2.0), min_size=k, max_size=k)
     eta_min = [10.0 ** e for e in draw(per_player)]
     eta_max = [lo * (1.0 + 4.0 * u) for lo, u in
