@@ -17,15 +17,12 @@ from .channel import (
     draw_block,
     draw_sequence,
     dynamics_db,
-    read_channel_csv,
-    write_channel_csv,
 )
 from .efficiency import (
     CharacteristicSinrs,
     InfoTheoretic,
     PacketSuccess,
     UniquenessRiskWarning,
-    check_op_condition,
     equal_action_utility,
     leader_coefficient,
     solve_all,

@@ -22,7 +22,6 @@ whole game; ``per_stage`` redraws every stage.
 
 from __future__ import annotations
 
-import csv
 import functools
 import threading
 from dataclasses import dataclass
@@ -32,7 +31,7 @@ from math import exp, expm1, isfinite, log10
 import numpy as np
 
 from .errors import ChannelConfigError
-from .static_game import ChannelState, NetworkConfig, _Columns, _write_table
+from .static_game import ChannelState, NetworkConfig, _Columns
 
 MIN_ACCEPTANCE = 1e-6
 _BULK_KEY_OFFSET = 2**32  # keeps bulk substreams disjoint from per-player keys
@@ -202,24 +201,4 @@ def draw_block(process: ChannelProcess, stages: int, substream: int = 0) -> np.n
     for i, law in enumerate(_laws(process)):
         gen.random(out=col)
         out[:, i] = _truncated_exponential(col, *law)
-    return out
-
-
-def write_channel_csv(path, draws: list[ChannelState]) -> None:
-    """Columns t,player,gain2 with 1-based ids; replayable via read_channel_csv."""
-    with open(path, "w", newline="") as fh:
-        _write_table(fh, ["t", "player", "gain2"],
-                     ([str(t), str(i), repr(float(g))] for t, state in enumerate(draws, start=1)
-                      for i, g in enumerate(state.gains2, start=1)))
-
-
-def read_channel_csv(path) -> list[ChannelState]:
-    stages: dict[int, dict[int, float]] = {}
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            stages.setdefault(int(row["t"]), {})[int(row["player"])] = float(row["gain2"])
-    out = []
-    for t in sorted(stages):
-        per = stages[t]
-        out.append(ChannelState(tuple(per[i] for i in sorted(per))))
     return out

@@ -35,7 +35,7 @@ The cooperative root is unique when h(x) = f''/f' - 2(k-1)/(n-(k-1)x)
 changes sign exactly once, from + to -, on (0, n/(k-1)); the subtracted term
 is positive and increasing there, and h -> -inf at the right end.  Each family
 settles this for all k >= 2 and n by a sign argument in its ``single_crossing``
-flag, and gives the zero of h as ``_crossing(k, n)``.
+flag; no solve needs where h crosses.
 """
 
 from __future__ import annotations
@@ -110,14 +110,15 @@ class PacketSuccess:
     m: int
 
     def __post_init__(self):
+        try:  # the root solve computes with m as a float
+            finite = abs(float(self.m)) < inf  # False for NaN
+        except OverflowError:  # an int past the float range
+            finite = False
+        if not finite:
+            raise ValueError("packet length m must round to a finite float (below about 1.8e308)")
         if int(self.m) != self.m or self.m < 1:
             raise ValueError("packet length m must be a positive integer")
         object.__setattr__(self, "m", int(self.m))
-        try:  # the root solve computes with m as a float
-            float(self.m)
-        except OverflowError:
-            raise ValueError("packet length m must round to a finite float (below about 1.8e308)"
-                             ) from None
 
     @_sinr_formula(positive=False)
     def value(self, x):
@@ -126,26 +127,10 @@ class PacketSuccess:
     __call__ = value
 
     @_sinr_formula(positive=True)
-    def deriv(self, x, order: int = 1):
-        m = self.m
+    def deriv(self, x):
+        """f'(x)."""
         e = np.exp(-x)
-        if order == 1:
-            return m * e * (1.0 - e) ** (m - 1)
-        if order == 2:
-            return m * e * (1.0 - e) ** (m - 2) * (m * e - 1.0)
-        raise ValueError("order must be 1 or 2")
-
-    @_sinr_formula(positive=True)
-    def dlog(self, x):
-        """f'(x)/f(x), computed without forming f (safe under underflow)."""
-        e = np.exp(-x)
-        return self.m * e / (1.0 - e)
-
-    @_sinr_formula(positive=True)
-    def curvature_ratio(self, x):
-        """f''(x)/f'(x) in closed form."""
-        e = np.exp(-x)
-        return (self.m * e - 1.0) / (1.0 - e)
+        return self.m * e * (1.0 - e) ** (self.m - 1)
 
     @property
     def single_crossing(self) -> bool:
@@ -161,12 +146,6 @@ class PacketSuccess:
             return 0.0
         return _packet_beta_star(self.m) if coeff == 0.0 else _packet_root(self.m, coeff)
 
-    def _crossing(self, k: int, n: int) -> float:
-        def h(x: float) -> float:
-            return self.curvature_ratio(x) - 2.0 * (k - 1) / (n - (k - 1) * x)
-
-        return bisect(h, 0.0, n / (k - 1))
-
 
 BETA_STAR_MEMO = 256  # packet lengths whose beta_star _packet_beta_star keeps
 
@@ -181,14 +160,14 @@ def _packet_root(m: int, coeff: float) -> float:
     """``bisect(g, *expand_bracket(g))`` for PacketSuccess(m)'s g, by ``bisect_near`` from
     ``_newton``'s estimate, or by those searches where the estimate cannot stand in."""
 
-    def g(x: float) -> float:  # dlog in floats; e = 1 (x < 2**-54) divides by zero: inf
+    def g(x: float) -> float:  # f'/f in floats; e = 1 (x < 2**-54) divides by zero: inf
         e = float(np.exp(-x))
         return x * (1.0 - coeff * x) * (m * e / (1.0 - e) if e < 1.0 else inf) - 1.0
 
     x = _newton(m, coeff)
     # Below 1/16 one step of the rounded e**-x spans more than GUARD_ULPS floats of x,
     # and where x (1 - coeff x) rises (2 coeff x < 1; m = 2 at small x) g rises along
-    # the step: its signs can flicker across it.  bisect's own search decides there.
+    # the step: its signs can flicker across it.  Plain bisection decides there.
     root = None if x < 0.0625 and 2.0 * coeff * x < 1.0 else bisect_near(g, x)
     return bisect(g, *expand_bracket(g)) if root is None else root
 
@@ -257,35 +236,20 @@ class InfoTheoretic:
     __call__ = value
 
     @_sinr_formula(positive=True)
-    def deriv(self, x, order: int = 1):
+    def deriv(self, x):
+        """f'(x)."""
         c = self.c
-        v = np.exp(-c / x)
-        if order == 1:
-            return c / (x * x) * v
-        if order == 2:
-            return c / np.power(x, 3) * (c / x - 2.0) * v
-        raise ValueError("order must be 1 or 2")
+        return c / (x * x) * np.exp(-c / x)
 
-    @_sinr_formula(positive=True)
-    def dlog(self, x):
-        return self.c / (x * x)
-
-    @_sinr_formula(positive=True)
-    def curvature_ratio(self, x):
-        return (self.c - 2.0 * x) / (x * x)
-
-    # h = 0 is linear in x (see _crossing): h, from +inf at 0 to -inf, crosses once
+    # f''/f' = (c - 2x)/x**2, so h = 0 with its positive denominators cleared,
+    # (c - 2x)(n - (k-1)x) = 2(k-1)x**2, is linear in x: h, from +inf at 0 to -inf,
+    # crosses once
     single_crossing = True
 
     def _root(self, coeff: float) -> float:
         """c (1 - coeff x) = x: c/(1 + coeff c), or 1/coeff where coeff c overflows."""
         c = self.c
         return c / (1.0 + coeff * c) if coeff * c < inf else 1.0 / coeff
-
-    def _crossing(self, k: int, n: int) -> float:
-        """h = 0 with its positive denominators cleared, (c - 2x)(n - (k-1)x) =
-        2(k-1)x**2, reads c n = x (2n + (k-1) c): x0 = n/(k - 1 + 2n/c)."""
-        return n / (k - 1 + 2.0 * n / self.c)
 
 
 EfficiencyModel = PacketSuccess | InfoTheoretic
@@ -337,16 +301,6 @@ def solve_gamma_star(model: EfficiencyModel, k: int, n: int, beta_star: float) -
     if k <= 1:
         return beta_star
     return model._root(leader_coefficient(k, n, beta_star))
-
-
-def check_op_condition(model: EfficiencyModel, k: int,
-                       n: int) -> tuple[bool, float | None]:
-    """(ok, x0): the family's ``single_crossing`` and, when ok, its ``_crossing``.
-
-    Vacuously (True, None) for k < 2."""
-    if k < 2:
-        return True, None
-    return (True, model._crossing(k, n)) if model.single_crossing else (False, None)
 
 
 @_sinr_formula(positive=True)

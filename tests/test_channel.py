@@ -28,8 +28,6 @@ from powergame.channel import (
     draw_block,
     draw_sequence,
     dynamics_db,
-    read_channel_csv,
-    write_channel_csv,
 )
 from powergame.errors import ChannelConfigError
 from powergame.static_game import ChannelState, NetworkConfig
@@ -272,14 +270,6 @@ def test_block_respects_bounds():
     block = draw_block(_process(k=3, lo=0.5, hi=1.4, seed=8), 500)
     assert block.shape == (500, 3)
     assert ((block >= 0.5) & (block <= 1.4)).all()
-
-
-def test_channel_csv_round_trip(tmp_path):
-    states = draw_sequence(_process(k=3, seed=13), 7)
-    path = tmp_path / "gains.csv"
-    write_channel_csv(path, states)
-    back = read_channel_csv(path)
-    assert [s.gains2 for s in back] == [s.gains2 for s in states]
 
 
 def _path_bytes(path):

@@ -15,7 +15,6 @@ from powergame.efficiency import (
     InfoTheoretic,
     PacketSuccess,
     UniquenessRiskWarning,
-    check_op_condition,
     equal_action_utility,
     leader_coefficient,
     solve_all,
@@ -54,12 +53,10 @@ def _residual(model, x: float, coeff: float) -> float:
 
 
 def _assert_derivs_match_finite_differences(model, x):
-    # step sizes balance truncation against roundoff per derivative order
-    h1, h2 = 6e-6 * x, 2e-4 * x
+    # the step size balances truncation against roundoff
+    h1 = 6e-6 * x
     fd1 = (model.value(x + h1) - model.value(x - h1)) / (2 * h1)
-    fd2 = (model.value(x + h2) - 2 * model.value(x) + model.value(x - h2)) / h2**2
     np.testing.assert_allclose(model.deriv(x), fd1, rtol=1e-6, atol=1e-10)
-    np.testing.assert_allclose(model.deriv(x, order=2), fd2, rtol=1e-4, atol=1e-7)
 
 
 def test_packet_success_derivs_match_finite_differences():
@@ -72,24 +69,6 @@ def test_info_theoretic_derivs_match_finite_differences():
     rng = np.random.default_rng(4)
     _assert_derivs_match_finite_differences(InfoTheoretic.from_c(0.8),
                                             rng.uniform(0.2, 6.0, size=40))
-
-
-def test_dlog_and_curvature_agree_with_raw_ratios():
-    x = np.linspace(0.3, 5.0, 25)
-    for model in (PacketSuccess(3), InfoTheoretic(1.2)):
-        np.testing.assert_allclose(model.dlog(x), model.deriv(x) / model.value(x),
-                                   rtol=1e-12)
-        np.testing.assert_allclose(model.curvature_ratio(x),
-                                   model.deriv(x, 2) / model.deriv(x, 1),
-                                   rtol=1e-11)
-
-
-def test_dlog_survives_value_underflow():
-    # f underflows to 0 at tiny SINR with large m, but f'/f stays finite
-    model = PacketSuccess(100)
-    x = 1e-12
-    assert model.value(x) == 0.0
-    assert np.isfinite(model.dlog(x)) and model.dlog(x) > 0.0
 
 
 def test_zero_sinr_gives_zero_efficiency():
@@ -200,44 +179,30 @@ def test_equal_action_utility_peaks_at_gamma_tilde():
             model, xs, k, n).max() - 1e-12
 
 
-def test_single_crossing_scan_finds_the_crossing():
-    ok, x0 = check_op_condition(PacketSuccess(2), 2, 2)
-    assert ok and x0 is not None and x0 > 0.0
-    model = PacketSuccess(2)
-    h = model.curvature_ratio(x0) - 2.0 / (2.0 - x0)
-    assert abs(h) < 1e-9
+def _curvature_ratio(model, x):
+    # f''(x)/f'(x) in closed form
+    if isinstance(model, PacketSuccess):
+        e = np.exp(-x)
+        return (model.m * e - 1.0) / (1.0 - e)
+    return (model.c - 2.0 * x) / (x * x)
 
 
-def test_single_crossing_scan_vacuous_below_two_players():
-    assert check_op_condition(PacketSuccess(2), 1, 4) == (True, None)
-
-
-def _scan_op_condition(model, k: int, n: int, points: int = 100_000):
-    """Uniform sign scan of h = f''/f' - 2(k-1)/(n-(k-1)x) on (0, n/(k-1)).
+def _scan_op_condition(model, k: int, n: int, points: int = 100_000) -> bool:
+    """Uniform sign scan of h = f''/f' - 2(k-1)/(n-(k-1)x) on (0, n/(k-1)):
+    one change of sign, from + to -.
 
     The numeric check the library ran on every solve before the per-family
     sign argument replaced it; kept here as the oracle for that argument.
     """
     if k < 2:
-        return True, None
+        return True
     upper = n / (k - 1)
     xs = np.linspace(0.0, upper, points + 2)[1:-1]
-    h = model.curvature_ratio(xs) - 2.0 * (k - 1) / (n - (k - 1) * xs)
+    h = _curvature_ratio(model, xs) - 2.0 * (k - 1) / (n - (k - 1) * xs)
     signs = np.sign(h)
-    keep = signs != 0.0
-    signs, xs = signs[keep], xs[keep]
-    if signs.size < 2:
-        return False, None
+    signs = signs[signs != 0.0]
     flips = np.nonzero(np.diff(signs))[0]
-    downward = flips[(signs[flips] > 0) & (signs[flips + 1] < 0)]
-    if flips.size != 1 or downward.size != 1:
-        return False, None
-    i = int(downward[0])
-
-    def h_scalar(x: float) -> float:
-        return model.curvature_ratio(x) - 2.0 * (k - 1) / (n - (k - 1) * x)
-
-    return True, bisect(h_scalar, float(xs[i]), float(xs[i + 1]))
+    return flips.size == 1 and signs[flips[0]] > 0
 
 
 MODELS = st.one_of(
@@ -249,13 +214,7 @@ MODELS = st.one_of(
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(model=MODELS, k=st.integers(1, 12), n=st.integers(1, 64))
 def test_single_crossing_argument_matches_the_scan(model, k, n):
-    ok, x0 = check_op_condition(model, k, n)
-    ok_scan, x0_scan = _scan_op_condition(model, k, n)
-    assert ok == ok_scan
-    if x0_scan is None:
-        assert x0 is None
-    else:
-        assert abs(x0 - x0_scan) <= n / (k - 1) / 100_001  # the scan's grid step
+    assert (k < 2 or model.single_crossing) == _scan_op_condition(model, k, n)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -267,26 +226,11 @@ def test_sinr_ordering_wherever_the_one_shot_equilibrium_exists(model, k, n):
     assert 0.0 < s.gamma_tilde <= s.gamma_star <= s.beta_star
 
 
-def test_scalar_ratio_path_is_bitwise_the_array_path():
-    xs = 10.0 ** np.random.default_rng(5).uniform(-6.0, 3.0, size=20_000)
-    # 1e-170 and 5e-324: exp(-x) rounds to 1 and x * x underflows to 0
-    xs = np.concatenate([xs, [1e-170, 5e-324]])
-    for model in (PacketSuccess(2), PacketSuccess(100), InfoTheoretic(1.3)):
-        for method in (model.dlog, model.curvature_ratio):
-            with np.errstate(divide="ignore"):
-                scalar = np.array([method(float(x)) for x in xs])
-                assert scalar.tobytes() == method(xs).tobytes()
-            for x in xs[:200]:  # 0-d arrays still take the array path
-                assert method(float(x)) == method(np.asarray(x))
-    assert isinstance(PacketSuccess(3).dlog(1.0), float)
-
-
 def test_scalar_ratio_path_rejects_nonpositive_sinr():
     for model in (PacketSuccess(2), InfoTheoretic(1.0)):
-        for method in (model.dlog, model.curvature_ratio):
-            for x in (0.0, -0.0, -1.0, np.float64(-0.5)):
-                with pytest.raises(ValueError):
-                    method(x)
+        for x in (0.0, -0.0, -1.0, np.float64(-0.5)):
+            with pytest.raises(ValueError):
+                model.deriv(x)
 
 
 def test_uniqueness_warning_when_condition_fails():
@@ -309,10 +253,7 @@ def _sinr_functions(model):
     """Every function of the SINR, as (name, one-argument callable)."""
     return [
         ("value", model.value),
-        ("deriv1", model.deriv),
-        ("deriv2", lambda x: model.deriv(x, order=2)),
-        ("dlog", model.dlog),
-        ("curvature_ratio", model.curvature_ratio),
+        ("deriv", model.deriv),
         ("equal_action_utility", lambda x: equal_action_utility(model, x, 3, 16)),
     ]
 
@@ -357,8 +298,8 @@ def test_nan_sinr_is_outside_every_domain():
 
 def test_solve_gamma_tilde_bisects_only_its_root(monkeypatch):
     # the single-crossing decision is a sign argument: no bisection on h, and
-    # InfoTheoretic's root and crossing are closed forms: no bisection at all.
-    # PacketSuccess solves its root through _packet_root; bisect is left to h.
+    # InfoTheoretic's root is a closed form: no bisection at all.  PacketSuccess
+    # solves its root through _packet_root, with no fallback bisection here.
     from powergame import efficiency
 
     calls = []
@@ -380,9 +321,6 @@ def test_solve_gamma_tilde_bisects_only_its_root(monkeypatch):
         calls.clear()
         assert solve_gamma_tilde(model, 5, 16) == x
         assert len(calls) == bisections
-        calls.clear()
-        ok, x0 = check_op_condition(model, 5, 16)
-        assert ok and x0 is not None and len(calls) == bisections
 
 
 def test_solve_all_for_one_player_bisects_beta_star_once(monkeypatch):
@@ -424,11 +362,6 @@ def _closed_root(c, coeff):
     return c / (1.0 + coeff * c) if coeff * c < math.inf else 1.0 / coeff
 
 
-def _closed_crossing(c, k, n):
-    # InfoTheoretic's h = 0 with its denominators cleared: c n = x (2n + (k-1) c)
-    return n / (k - 1 + 2.0 * n / c)
-
-
 def _assert_near_exact(x, exact):
     # within 2 ulps of the exact rational value: no overflow, underflow or cancellation
     assert 0.0 < x < math.inf
@@ -453,7 +386,6 @@ def test_info_theoretic_sinrs_and_crossing_are_closed_forms(exponent, k, n):
             mock.patch.object(efficiency, "expand_bracket", side_effect=refuse):
         beta = solve_beta_star(model)
         gamma_tilde = solve_gamma_tilde(model, k, n)
-        ok, x0 = check_op_condition(model, k, n)
         leader_feasible = k <= 2 or (k - 2) * c < n
         if leader_feasible:
             lead = leader_coefficient(k, n, c)
@@ -463,9 +395,7 @@ def test_info_theoretic_sinrs_and_crossing_are_closed_forms(exponent, k, n):
     assert beta == c
     assert gamma_tilde == _closed_root(c, tilde)
     _assert_near_exact(gamma_tilde, Fraction(c) / (1 + Fraction(tilde) * Fraction(c)))
-    assert ok and x0 == (_closed_crossing(c, k, n) if k >= 2 else None)
-    if k >= 2:
-        _assert_near_exact(x0, Fraction(c) * n / (2 * n + (k - 1) * Fraction(c)))
+    assert model.single_crossing  # h's zero is linear in x: one crossing
     if leader_feasible:
         assert gamma_star == _closed_root(c, lead)
         _assert_near_exact(gamma_star, Fraction(c) / (1 + Fraction(lead) * Fraction(c)))
@@ -477,8 +407,8 @@ def test_packet_success_m1_answers_zero_without_evaluating_g(monkeypatch):
     from powergame import efficiency
 
     model = PacketSuccess(1)
-    # g < 0 throughout, as x e^-x/(1 - e^-x) = x/expm1(x) < 1; the float g from
-    # dlog rounds above 0 near x = 1e-9, where 1 - e^-x cancels
+    # g < 0 throughout, as x e^-x/(1 - e^-x) = x/expm1(x) < 1; the float g
+    # rounds above 0 near x = 1e-9, where 1 - e^-x cancels
     xs = np.geomspace(1e-12, 50.0, 400)
     for coeff in (0.0, 0.25, 4.0):
         assert np.all(xs * (1.0 - coeff * xs) / np.expm1(xs) < 1.0)
@@ -488,7 +418,6 @@ def test_packet_success_m1_answers_zero_without_evaluating_g(monkeypatch):
 
     for name in ("bisect", "expand_bracket"):
         monkeypatch.setattr(efficiency, name, refuse)
-    monkeypatch.setattr(PacketSuccess, "dlog", refuse)
     assert solve_beta_star(model) == 0.0
     with pytest.warns(UniquenessRiskWarning):
         assert solve_gamma_tilde(model, 3, 8) == 0.0
@@ -522,7 +451,7 @@ def test_from_c_needs_a_positive_finite_c(c):
         InfoTheoretic.from_c(c)
 
 
-@pytest.mark.parametrize("m", [2**1024, 10**400])
+@pytest.mark.parametrize("m", [2**1024, 10**400, math.inf, math.nan])
 def test_packet_length_past_the_float_range_is_rejected(m):
     # the root solve computes with m as a float: it once died with OverflowError
     with pytest.raises(ValueError, match="packet length m must round to a finite float"):

@@ -212,8 +212,9 @@ def _root_function(model, coeff):
 def test_packet_root_function_is_bitwise_the_dlog_expression(m, coeff, xs):
     model = PacketSuccess(m)
     g = _root_function(model, coeff)
-    # below 2**-54, exp(-x) rounds to 1: dlog divides by zero, and is inf
+    # below 2**-54, exp(-x) rounds to 1: f'/f divides by zero, and is inf
     for x in [*xs, 1e-17, 2.0**-60, 5e-324, 800.0, 1.0 / coeff if coeff else 1.0]:
         with np.errstate(all="ignore"):
-            want = x * (1.0 - coeff * x) * model.dlog(x) - 1.0
+            e = np.exp(-x)  # f'/f in closed form
+            want = x * (1.0 - coeff * x) * float(m * e / (1.0 - e)) - 1.0
         assert repr(g(x)) == repr(want), x

@@ -11,15 +11,15 @@ PUBLIC_NAMES = [
     "NoNashEquilibriumError", "PacketSuccess", "Phase", "PowerGameError", "PowerProfile",
     "RgBounds", "SaturatedRegimeError", "SolverError", "StageRecord", "TriggerStrategy",
     "UniquenessRiskWarning", "UtilityProfile", "acceptance_probability",
-    "averaged_utility_drg", "averaged_utility_frg", "check_op_condition", "delta_gain",
+    "averaged_utility_drg", "averaged_utility_frg", "delta_gain",
     "draw", "draw_block", "draw_sequence", "drg_truncation_horizon", "dynamics_db",
     "equal_action_utility", "fig1_region", "fig2_dynamics_vs_t", "fig3_dynamics_vs_lambda",
     "fig4_welfare_vs_load", "fig5_frg_ratio_vs_t", "fig5_t0_sweep", "lambda_bound",
     "leader_coefficient", "make_machines", "ne_action", "ne_profile", "op_profile",
-    "pareto_dominates", "public_signal", "read_channel_csv", "reconstruct_public_signal",
+    "pareto_dominates", "public_signal", "reconstruct_public_signal",
     "rg_bounds", "run_game", "sample_utility_region", "se_profiles", "sinr_all",
     "solve_all", "solve_beta_star", "solve_gamma_star", "solve_gamma_tilde", "t0_bound",
-    "t0_bound_exact_deviation", "trace_to_csv", "utility", "write_channel_csv",
+    "t0_bound_exact_deviation", "trace_to_csv", "utility",
 ]
 
 

@@ -673,7 +673,12 @@ def _enforceable_game(rng):
     sigma2 = float(10.0 ** rng.uniform(-3, 0))
     # the smallest caps make_machines accepts, scaled up by 2 to 10^4
     need = sigma2 * sinrs.beta_star / (n - (k - 1) * sinrs.beta_star)
-    p_max = tuple(need / lo * 10.0 ** rng.uniform(0.3, 4.0) for lo in eta_min)
+    # t0 is finite when each player's punishment interference, the others' p_max *
+    # eta_min plus sigma2, exceeds eta_max / (eta_min (1 - load)) for every player:
+    # each of the k - 1 others brings a (k - 1)-th of it, before the scaling
+    load = (k - 1) * sinrs.beta_star / n
+    t0_need = max(hi / lo for lo, hi in zip(eta_min, eta_max)) / (1.0 - load) / (k - 1)
+    p_max = tuple(max(need, t0_need) / lo * 10.0 ** rng.uniform(0.3, 4.0) for lo in eta_min)
     cfg = NetworkConfig(k=k, n=n, sigma2=sigma2, rates=tuple(rng.uniform(0.5, 2.0, k)),
                         p_max=p_max, eta_min=eta_min, eta_max=eta_max)
     bounds = rg_bounds(cfg, model, sinrs.beta_star, sinrs.gamma_tilde)
@@ -684,10 +689,7 @@ def _enforceable_game(rng):
 @given(seed=st.integers(0, 2**32 - 1), drg=st.booleans())
 def test_conforming_play_stays_under_the_caps_and_on_target(seed, drg):
     rng = np.random.default_rng(seed)
-    try:
-        model, cfg, sinrs, bounds = _enforceable_game(rng)
-    except NoFiniteT0Error:
-        assume(False)
+    model, cfg, sinrs, bounds = _enforceable_game(rng)
     assume(bounds.t0 <= 50 and bounds.lambda_max > 0.0)
     if drg:
         plan, stages = DrgPlan(0.9 * bounds.lambda_max), 20
