@@ -16,12 +16,11 @@ bounded by the interference-free maximum; see ``t0_bound_exact_deviation``
 for the tighter diagnostic that uses the true best deviation instead.  Their
 closed-form inverses for alike players serve the experiment runners.
 
-``run_game`` plays a game as at most two batched passes over its (stages, k)
-gains: (a) the on-plan schedule up to the first detected stage t*, (b) the
-punish phase after it.  Detection runs only while cooperating and punishment
-is absorbing, so nothing after t* can change a phase.  It plays a drawn
-``GainPath``'s block as it is and returns a ``Trace``, the kernel's columns
-behind ``StageRecord``s that are built when first read and then kept.
+``run_game`` plays a game in as few as one batched kernel pass over its
+(stages, k) gains: detection runs only while cooperating and punishment is
+absorbing, so one stage t* fixes every phase, and a pass that guesses it
+confirms the guess from its own public signal.  It returns a ``Trace``, the
+kernel's columns behind ``StageRecord``s built when first read and then kept.
 """
 
 from __future__ import annotations
@@ -487,18 +486,15 @@ def _script(scenario: DeviationScenario | None, cfg: NetworkConfig,
 
 
 def _scripted(override, cfg: NetworkConfig, beta_star: float | None, gains2: np.ndarray,
-              prescribed: np.ndarray, powers: np.ndarray, start: int) -> None:
-    """Write rows start.. of powers: the prescribed (stages, k) powers with the script's override.
-
-    A best response answers the prescription of its own stage.
-    """
+              prescribed: np.ndarray) -> np.ndarray:
+    """A copy of the prescribed (stages, k) powers with the override; best responses answer them."""
     i, s, fixed, lo, hi = override
-    powers[start:] = prescribed[start:]
-    lo = max(lo, start)
+    powers = prescribed.copy()
     if lo < hi:
         powers[lo:hi, i] = _best_responses(cfg, gains2[lo:hi], prescribed[lo:hi], i, beta_star)[0]
-    if fixed is not None and s >= start:
+    if fixed is not None:
         powers[s, i] = fixed
+    return powers
 
 
 def run_game(model: EfficiencyModel, cfg: NetworkConfig,
@@ -509,15 +505,18 @@ def run_game(model: EfficiencyModel, cfg: NetworkConfig,
 
     A player's power depends only on its own current gain and the phase, the
     phase only on the public signal, so the trace respects the game's
-    information structure by construction.  Pass (a) prescribes every stage
-    on-plan (cooperate, then endgame), applies the script, and finds the first
-    detected stage t* from one omega-only kernel call; pass (b) re-prescribes
-    the stages after t* in the punish phase and applies the script to them
-    again.  One more kernel call plays all stages.  Errors come from the first
-    stage that has one: SaturatedRegimeError for a prescription above a cap (a
-    gain below the strategy's bounds), or the script's ValueError for a bad
-    request.  A bad request's stage bounds the cap check; the stages before it
-    play as they would alone, since nothing in a stage depends on a later one.
+    information structure by construction.  The first seen cooperating stage
+    t* fixes the phases.  A pass prescribes every stage for a guessed t*
+    (cooperate up to it, then punish; on-plan for 0), applies the script and
+    plays all stages in one kernel call.  Stages before t* play as on-plan, so
+    the first seen stage s up to the guess (in the cooperation window for 0)
+    is t* when s is the guess.  Else s is the next guess: t* itself, or 0 when
+    t* is 0 or past the guess, which on-plan play then finds.  The first guess
+    is the first cooperating stage the script overrides, else 0, so a game
+    takes one pass when that stage is seen or there is none, and at most three.
+    Errors come from the first stage that has one: SaturatedRegimeError for a
+    prescription above a cap (a gain below the strategy's bounds), or the
+    script's ValueError for a bad request, whose stage bounds the cap check.
     A ``GainPath`` is played from its block; any other sequence of states is
     stacked into one.
     """
@@ -530,18 +529,20 @@ def run_game(model: EfficiencyModel, cfg: NetworkConfig,
 
     gains2 = (channels.gains2 if isinstance(channels, GainPath) else
               np.array([state.gains2 for state in channels], dtype=float)).reshape(stages, cfg.k)
-    coop, end = strategy._spans(stages)
-    prescribed = strategy.powers(Phase.COOPERATE, gains2)  # each later phase overwrites its rows
-    prescribed[coop:] = strategy.powers(Phase.ENDGAME, gains2[coop:])
-    powers = np.empty_like(prescribed)
-    _scripted(override, cfg, beta_star, gains2, prescribed, powers, 0)
-    omega = _stage_payoffs(None, cfg, gains2[:coop], powers[:coop])[2]
-    seen = strategy.deviation_seen(omega).nonzero()[0]
-    detected = int(seen[0]) + 1 if seen.size else 0  # t*, 0 when nothing is seen
-    if detected:
-        coop, end = strategy._spans(stages, punish_from=detected + 1)
-        prescribed[end:] = strategy.powers(Phase.PUNISH, gains2[end:])
-        _scripted(override, cfg, beta_star, gains2, prescribed, powers, end)
+    window = strategy._spans(stages)[0]
+    _, s, fixed, lo, hi = override  # row s is the script's first, if it overrides any
+    guess = s + 1 if s < window and (fixed is not None or lo < hi) else 0
+    for _ in range(3):  # a wrong guess is followed by t* or by 0, and 0 by t*
+        coop, end = (guess, guess) if guess else (window, stages)  # guess <= window
+        prescribed = strategy.powers(Phase.COOPERATE, gains2)  # the later rows are overwritten
+        prescribed[coop:] = strategy.powers(Phase.PUNISH if guess else Phase.ENDGAME, gains2[coop:])
+        powers = _scripted(override, cfg, beta_star, gains2, prescribed)
+        sinrs, utils, omegas = _stage_payoffs(model, cfg, gains2, powers)
+        seen = strategy.deviation_seen(omegas[:guess or window]).nonzero()[0]
+        detected = int(seen[0]) + 1 if seen.size else 0  # 0 when nothing is seen
+        if detected == guess:
+            break
+        guess = detected
     over, player = (prescribed[:last] > strategy.caps).nonzero()
     if over.size:
         t, i = over[0], player[0]  # the first stage over a cap, its first player
@@ -551,7 +552,6 @@ def run_game(model: EfficiencyModel, cfg: NetworkConfig,
     if error is not None:
         raise error
 
-    sinrs, utils, omegas = _stage_payoffs(model, cfg, gains2, powers)
     t = np.arange(1, stages + 1)
     return Trace(t, gains2, powers, sinrs, utils, omegas,
                  _in_phases(_phase_labels(cfg.k), stages, coop, end), t == detected)
