@@ -59,9 +59,9 @@ from .repeated import (
     DrgPlan,
     FrgPlan,
     _bound_terms,
+    _surplus,
     averaged_utility_drg,
     averaged_utility_frg,
-    delta_gain,
     drg_truncation_horizon,
     lambda_bound,
     make_machines,
@@ -230,14 +230,13 @@ def _build_deviation(fields: dict, k: int) -> DeviationScenario:
 def cmd_solve(args) -> int:
     model = _build_model({"family": args.model, "m": args.m, "rate": args.rate, "c": args.c})
     sinrs = solve_all(model, args.k, args.n)
-    _, phi_ne, phi_op = _bound_terms(model, args.k, args.n, sinrs.beta_star,
-                                     sinrs.gamma_tilde)
+    terms = _bound_terms(model, args.k, args.n, sinrs.beta_star, sinrs.gamma_tilde)
     _emit("beta_star", sinrs.beta_star)
     _emit("gamma_star", sinrs.gamma_star)
     _emit("gamma_tilde", sinrs.gamma_tilde)
-    _emit("phi_beta_star", phi_ne)
-    _emit("phi_gamma_tilde", phi_op)
-    _emit("delta", delta_gain(model, args.k, args.n, sinrs.beta_star, sinrs.gamma_tilde))
+    _emit("phi_beta_star", terms[1])
+    _emit("phi_gamma_tilde", terms[2])
+    _emit("delta", 0.0 if sinrs.gamma_tilde == sinrs.beta_star else _surplus(*terms))
     return 0
 
 

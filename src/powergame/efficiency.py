@@ -334,6 +334,14 @@ class CharacteristicSinrs:
             raise ValueError("gamma_tilde must lie below n/(k-1)")
 
 
+def _sizes(k, n) -> tuple[int, int]:
+    """k and n as ints (2.0 is 2); a ValueError naming the first that is not a positive integer."""
+    for value, what in ((k, "k"), (n, "spreading factor n")):
+        if not (1 <= value < inf and int(value) == value):
+            raise ValueError(f"{what} must be a positive integer")
+    return int(k), int(n)
+
+
 def _require_one_shot(k: int, n: int, beta_star: float) -> None:
     if k >= 2 and (k - 1) * beta_star >= n:
         raise NoNashEquilibriumError(
@@ -343,7 +351,8 @@ def _require_one_shot(k: int, n: int, beta_star: float) -> None:
 
 
 def solve_all(model: EfficiencyModel, k: int, n: int) -> CharacteristicSinrs:
-    """Solve the three characteristic SINRs for one game."""
+    """Solve the three characteristic SINRs for one game of positive integer sizes."""
+    k, n = _sizes(k, n)
     bs = solve_beta_star(model)
     if bs <= 0.0:
         raise NoNashEquilibriumError(

@@ -37,8 +37,8 @@ from ._version import VERSION
 from .channel import ChannelMode, ChannelProcess, draw_block, dynamics_db
 from .efficiency import PacketSuccess, solve_all
 from .errors import NoFiniteT0Error, NoNashEquilibriumError, SaturatedRegimeError
-from .repeated import (_bound_terms, _lambda_edge, _t0_edge, _t0_floor_edge, _t0_from_ratios,
-                       _t0_ratios, t0_bound)
+from .repeated import (_bound_terms, _lambda_edge, _punish_interference, _t0_edge,
+                       _t0_floor_edge, _t0_from_ratios, _t0_ratios)
 from .static_game import (
     ChannelState,
     NetworkConfig,
@@ -332,7 +332,7 @@ def _uniform_cfg(k, n, sigma2, p_max, eta_min, ratio) -> NetworkConfig:
 
 
 def _dynamics_sweep(csv_path, out_dir, name, x_name, config, grid, edge):
-    """One row per (curve, x) at the largest gain ratio edge(model, k, n, sinrs, x)."""
+    """One row per (curve, x) at the largest gain ratio edge(k, n, beta_star, terms)(x)."""
     curves = config["curves"]
     if any(k < 2 for k, _ in curves):
         raise ValueError(f"dynamics curves need k >= 2 players, got {curves}")
@@ -340,8 +340,10 @@ def _dynamics_sweep(csv_path, out_dir, name, x_name, config, grid, edge):
     rows = []
     for k, n in curves:
         sinrs = solve_all(model, k, n)
+        at = edge(k, n, sinrs.beta_star,
+                  _bound_terms(model, k, n, sinrs.beta_star, sinrs.gamma_tilde))
         for x in grid:
-            best = edge(model, k, n, sinrs, x)
+            best = at(x)
             rows.append(DynamicsRow(k, n, x, best, dynamics_db(1.0, best), True)
                         if best >= 1.0 else DynamicsRow(k, n, x, 1.0, 0.0, False))
     csv_path = csv_path or _default_path(out_dir, name)
@@ -358,9 +360,9 @@ def fig2_dynamics_vs_t(csv_path=None, out_dir=".",
                        p_max: float = 100.0, eta_min: float = 1.0) -> DynamicsResult:
     """Max admissible gain dynamics (dB) vs finite horizon, per (k, n) curve."""
 
-    def edge(model, k, n, sinrs, t):
+    def edge(k, n, beta_star, terms):
         cfg = _uniform_cfg(k, n, sigma2, p_max, eta_min, 1.0)
-        return _t0_edge(cfg, model, sinrs.beta_star, sinrs.gamma_tilde, t)
+        return partial(_t0_edge, beta_star, terms, _punish_interference(cfg)[0])
 
     config = {"curves": [list(c) for c in curves], "m": m,
               "t_grid": list(t_grid), "sigma2": sigma2, "p_max": p_max,
@@ -378,8 +380,8 @@ def fig3_dynamics_vs_lambda(csv_path=None, out_dir=".",
     if not all(0.0 < lam < 1.0 for lam in grid):
         raise ValueError(f"stopping probabilities must lie in (0, 1), got {grid}")
 
-    def edge(model, k, n, sinrs, lam):
-        return _lambda_edge(model, k, n, sinrs.beta_star, sinrs.gamma_tilde, lam)
+    def edge(k, n, beta_star, terms):
+        return partial(_lambda_edge, k, terms)
 
     config = {"curves": [list(c) for c in curves], "m": m, "lambda_grid": grid}
     return _dynamics_sweep(csv_path, out_dir, "fig3", "lam", config, grid, edge)
@@ -459,6 +461,9 @@ def fig4_welfare_vs_load(csv_path=None, out_dir=".", n: int = 128,
                    for m in m_values}
     else:  # JSON round-trips dict keys as strings
         k_grids = {int(m): list(ks) for m, ks in dict(k_grids).items()}
+        for m in m_values:
+            if m not in k_grids:
+                raise ValueError(f"fig4 needs a grid in k_grids for every m, got none for m = {m}")
     point = partial(_fig4_point, n=n, replicas=replicas, seed=seed, eta_min=eta_min,
                     eta_max=eta_max, mean_gain2=mean_gain2, leader=leader)
     results = _map_ordered(point, list(enumerate((m, k) for m in m_values
@@ -540,10 +545,11 @@ def fig5_frg_ratio_vs_t(csv_path=None, out_dir=".", k: int = 35, m: int = 10,
         mean_gain2 = math.sqrt(eta_min * eta_max)
     cfg = NetworkConfig.uniform(k=k, n=n, sigma2=sigma2, rate=1.0,
                                 p_max=p_max, eta_min=eta_min, eta_max=eta_max)
-    t0 = t0_bound(cfg, model, sinrs.beta_star, sinrs.gamma_tilde)
+    f_ne, phi_ne, phi_op = terms = _bound_terms(model, k, n, sinrs.beta_star, sinrs.gamma_tilde)
+    t0 = _t0_from_ratios(_t0_ratios(cfg, sinrs.beta_star, sinrs.gamma_tilde, terms,
+                                    _punish_interference(cfg)))
     t_grid = [mult * t0 for mult in t_multiples]
 
-    f_ne, phi_ne, phi_op = _bound_terms(model, k, n, sinrs.beta_star, sinrs.gamma_tilde)
     limit = phi_op / phi_ne
     # stage welfare per unit gain: f(x)/a(x), proportional to phi(x)
     rate_ne = f_ne / ne_action(cfg, sinrs.beta_star)
@@ -611,11 +617,13 @@ def fig5_t0_sweep(csv_path=None, out_dir=".", k: int = 35, m: int = 10,
     model = PacketSuccess(m)
     sinrs = solve_all(model, k, n)
     ratio = 10.0 ** (dynamics_db / 10.0)
-    terms = (model, sinrs.beta_star, sinrs.gamma_tilde)
+    beta_star, gamma_tilde = sinrs.beta_star, sinrs.gamma_tilde
+    terms = _bound_terms(model, k, n, beta_star, gamma_tilde)
 
     def ratios_at(scale: float):
+        cfg = _uniform_cfg(k, n, sigma2, p_max, scale, ratio)
         try:
-            return _t0_ratios(_uniform_cfg(k, n, sigma2, p_max, scale, ratio), *terms)
+            return _t0_ratios(cfg, beta_star, gamma_tilde, terms, _punish_interference(cfg))
         except NoFiniteT0Error:
             return None
 
@@ -630,7 +638,7 @@ def fig5_t0_sweep(csv_path=None, out_dir=".", k: int = 35, m: int = 10,
     implied = None
     if any(r >= target for r in finite) and any(r < target for r in finite):
         implied = _t0_floor_edge(_uniform_cfg(k, n, sigma2, p_max, 1.0, ratio),
-                                 *terms, target)
+                                 beta_star, terms, target)
 
     config = {"k": k, "m": m, "n": n, "p_max": p_max, "sigma2": sigma2,
               "dynamics_db": dynamics_db, "scales": [float(s) for s in scales],

@@ -153,9 +153,13 @@ class DeviationScenario:
 
 def _bound_terms(model: EfficiencyModel, k: int, n: int, beta_star: float,
                  gamma_tilde: float) -> tuple[float, float, float]:
-    """f(b), phi(b), phi(gt) for the bounds; NoNashEquilibriumError without a one-shot NE."""
+    """f(b), phi(b) on it as ``equal_action_utility`` writes it, and phi(gt), for the bounds;
+    NoNashEquilibriumError without a one-shot NE."""
     _require_one_shot(k, n, beta_star)
-    return (model.value(beta_star), equal_action_utility(model, beta_star, k, n),
+    f_ne = model.value(beta_star)
+    if not beta_star > 0.0:  # phi's domain, as equal_action_utility checks it
+        raise ValueError("SINR must be strictly positive here")
+    return (f_ne, f_ne / beta_star * (1.0 - (k - 1) * beta_star / n),
             equal_action_utility(model, gamma_tilde, k, n))
 
 
@@ -169,16 +173,6 @@ def _punish_interference(cfg: NetworkConfig) -> list[float]:
             total += x
         out.append(total + cfg.sigma2)
     return out
-
-
-@functools.lru_cache(maxsize=1, typed=True)
-def _bound_inputs(cfg: NetworkConfig, model: EfficiencyModel, beta_star: float,
-                  gamma_tilde: float) -> tuple[tuple[float, float, float], tuple[float, ...]]:
-    """``_bound_terms`` and ``_punish_interference``, kept for the last arguments:
-    ``rg_bounds`` and then ``t0_bound_exact_deviation`` on one report evaluate them
-    once.  An error is not kept, so it is raised on every call."""
-    return (_bound_terms(model, cfg.k, cfg.n, beta_star, gamma_tilde),
-            tuple(_punish_interference(cfg)))
 
 
 def _surplus(f_ne: float, phi_ne: float, phi_op: float) -> float:
@@ -196,9 +190,9 @@ def delta_gain(model: EfficiencyModel, k: int, n: int,
             else _surplus(*_bound_terms(model, k, n, beta_star, gamma_tilde)))
 
 
-def _t0_ratios(cfg: NetworkConfig, model: EfficiencyModel, beta_star: float,
-               gamma_tilde: float, exact_deviation: bool = False) -> list[float]:
-    """Real-valued endgame-length ratio of each player, on ``_bound_inputs``.
+def _t0_ratios(cfg: NetworkConfig, beta_star: float, gamma_tilde: float, terms: tuple,
+               interference: list[float], exact_deviation: bool = False) -> list[float]:
+    """Each player's real-valued endgame-length ratio on the terms and its interference.
 
     The shared body of ``t0_bound``, ``t0_bound_exact_deviation`` and ``rg_bounds``.
     Empty below two players.
@@ -206,7 +200,7 @@ def _t0_ratios(cfg: NetworkConfig, model: EfficiencyModel, beta_star: float,
     k, n = cfg.k, cfg.n
     if k < 2:
         return []
-    (f_ne, phi_ne, phi_op), interference = _bound_inputs(cfg, model, beta_star, gamma_tilde)
+    f_ne, phi_ne, phi_op = terms
     deviation_term = f_ne / beta_star
     if exact_deviation:
         deviation_term = deviation_term * (1.0 - (k - 1) * gamma_tilde / n)
@@ -229,8 +223,7 @@ def _t0_from_ratios(ratios: list[float]) -> int:
     return max([1, *map(ceil, ratios)])
 
 
-def _t0_edge(cfg: NetworkConfig, model: EfficiencyModel, beta_star: float,
-             gamma_tilde: float, t: float) -> float:
+def _t0_edge(beta_star: float, terms: tuple, interference: float, t: float) -> float:
     """Largest eta_max/eta_min with t0_bound <= t, every player alike; < 1: none.
 
     With R = eta_max/eta_min, D = f(b)/b, I the punishment interference and
@@ -238,20 +231,18 @@ def _t0_edge(cfg: NetworkConfig, model: EfficiencyModel, beta_star: float,
     edge is a weighted mean of phi(b)*I/D and phi(gt)/D < 1, so when it is >= 1
     the denominator of r stays positive on [1, edge]: NoFiniteT0Error never binds.
     """
-    f_ne, phi_ne, phi_op = _bound_terms(model, cfg.k, cfg.n, beta_star, gamma_tilde)
+    f_ne, phi_ne, phi_op = terms
     t = max(floor(t), 0)
-    return (t * phi_ne + phi_op) / (f_ne / beta_star
-                                    * (1.0 + t / _punish_interference(cfg)[0]))
+    return (t * phi_ne + phi_op) / (f_ne / beta_star * (1.0 + t / interference))
 
 
-def _t0_floor_edge(cfg: NetworkConfig, model: EfficiencyModel, beta_star: float,
-                   gamma_tilde: float, target: float) -> float:
+def _t0_floor_edge(cfg: NetworkConfig, beta_star: float, terms: tuple, target: float) -> float:
     """Gain floor at which the t0 ratio r of alike players equals target.
 
     At cfg's R, r = target at I = R*D / (phi(b) - (R*D - phi(gt))/target), the
     punishment interference of eta_min = (I - sigma2) / ((k-1) p_max).
     """
-    f_ne, phi_ne, phi_op = _bound_terms(model, cfg.k, cfg.n, beta_star, gamma_tilde)
+    f_ne, phi_ne, phi_op = terms
     spread = cfg.eta_max[0] / cfg.eta_min[0] * f_ne / beta_star
     interference = spread / (phi_ne - (spread - phi_op) / target)
     return (interference - cfg.sigma2) / ((cfg.k - 1) * cfg.p_max[0])
@@ -268,7 +259,9 @@ def t0_bound(cfg: NetworkConfig, model: EfficiencyModel, beta_star: float,
     deviation payoff by the interference-free maximum f(b)/b.  This is the
     max over players, the binding one.
     """
-    return _t0_from_ratios(_t0_ratios(cfg, model, beta_star, gamma_tilde))
+    return _t0_from_ratios(_t0_ratios(cfg, beta_star, gamma_tilde,
+                                      _bound_terms(model, cfg.k, cfg.n, beta_star, gamma_tilde),
+                                      _punish_interference(cfg)))
 
 
 def t0_bound_exact_deviation(cfg: NetworkConfig, model: EfficiencyModel,
@@ -279,8 +272,9 @@ def t0_bound_exact_deviation(cfg: NetworkConfig, model: EfficiencyModel,
     response against the cooperative profile, f(b)/b * (1 - (k-1)*gt/n).
     Never larger than t0_bound.
     """
-    return _t0_from_ratios(_t0_ratios(cfg, model, beta_star, gamma_tilde,
-                                      exact_deviation=True))
+    return _t0_from_ratios(_t0_ratios(cfg, beta_star, gamma_tilde,
+                                      _bound_terms(model, cfg.k, cfg.n, beta_star, gamma_tilde),
+                                      _punish_interference(cfg), exact_deviation=True))
 
 
 def lambda_bound(cfg: NetworkConfig, model: EfficiencyModel, beta_star: float,
@@ -302,25 +296,25 @@ def _lambda_max(cfg: NetworkConfig, terms: tuple) -> float:
         for lo, hi in zip(cfg.eta_min, cfg.eta_max)))
 
 
-def _lambda_edge(model: EfficiencyModel, k: int, n: int, beta_star: float,
-                 gamma_tilde: float, lam: float) -> float:
+def _lambda_edge(k: int, terms: tuple, lam: float) -> float:
     """Largest eta_max/eta_min with lambda_bound >= lam, every player alike; < 1: none.
 
     The gain floor cancels, so the edge depends on (model, k, n) alone.
     """
-    delta = delta_gain(model, k, n, beta_star, gamma_tilde)
-    return delta * (1.0 - lam) / (lam * ((k - 1) * model.value(beta_star) - delta))
+    delta = _surplus(*terms)
+    return delta * (1.0 - lam) / (lam * ((k - 1) * terms[0] - delta))
 
 
 def rg_bounds(cfg: NetworkConfig, model: EfficiencyModel, beta_star: float,
               gamma_tilde: float) -> RgBounds:
     """``t0_bound``, ``lambda_bound`` and ``delta_gain`` on one evaluation of their terms.
 
-    t0 reads the terms first from two players on, so their errors come first."""
-    t0 = t0_bound(cfg, model, beta_star, gamma_tilde)
+    The terms' and t0's errors come before lambda's."""
+    terms = _bound_terms(model, cfg.k, cfg.n, beta_star, gamma_tilde)
+    t0 = _t0_from_ratios(_t0_ratios(cfg, beta_star, gamma_tilde, terms,
+                                    _punish_interference(cfg)))
     if gamma_tilde == beta_star:  # no surplus
         return RgBounds(t0, 0.0, 0.0)
-    terms = _bound_inputs(cfg, model, beta_star, gamma_tilde)[0]
     return RgBounds(t0, _lambda_max(cfg, terms), _surplus(*terms))
 
 

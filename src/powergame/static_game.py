@@ -12,11 +12,14 @@ profiles below equalise actions, not powers.
 One profile (``utility``, ``sinr_all``, ``public_signal``, the equilibrium
 builders) is computed in Python floats, as ``+ - * /`` and comparisons round
 alike in floats and numpy; ``_stage_payoffs`` is the batch kernel of the engine
-and the region sampler.  The total over players is added left to right from
-0.0 for k <= 7, which is numpy's order there (-0.0 terms sum to 0.0), and is
-``np.sum`` from k = 8 on, where numpy sums pairwise.  Not Python's ``sum``,
-which compensates its rounding from Python 3.12 on.  ``tests/test_static_game.py``
-checks the bytes: ``test_one_profile_total_is_numpys_sum`` and
+and the region sampler.  ``_total`` adds the players' terms in the order of
+numpy's pairwise sum, for every k: below 8 terms left to right; up to 128, eight
+running sums over blocks of 8, joined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
+then the rest left to right; past 128, the two halves apart, the first half's
+length rounded down to a multiple of 8.  It starts from numpy's 0.0, so -0.0
+terms total 0.0.  Not Python's ``sum``, which compensates its rounding from
+Python 3.12 on.  ``tests/test_static_game.py`` checks the bytes:
+``test_one_profile_total_is_numpys_sum`` and
 ``test_stage_kernel_batch_is_bitwise_the_per_profile_functions``.  ``**`` and
 ``exp`` stay vector numpy calls, as ``math`` and scalar ``pow`` need not round
 as numpy's vector loops do.
@@ -32,7 +35,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .efficiency import EfficiencyModel, _require_one_shot
+from .efficiency import EfficiencyModel, _require_one_shot, _sizes
 from .errors import NoNashEquilibriumError, SaturatedRegimeError
 
 
@@ -62,11 +65,9 @@ class NetworkConfig:
     eta_max: tuple[float, ...]
 
     def __post_init__(self):
-        for name, what in (("k", "k"), ("n", "spreading factor n")):
-            value = getattr(self, name)
-            if not (1 <= value < np.inf and int(value) == value):
-                raise ValueError(f"{what} must be a positive integer")
-            object.__setattr__(self, name, int(value))  # k=2.0 is k=2
+        k, n = _sizes(self.k, self.n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "n", n)
         if not 0.0 < self.sigma2 < np.inf:
             raise ValueError("noise power sigma2 must be positive and finite")
         object.__setattr__(self, "rates", _per_player(self.rates, self.k, "rates"))
@@ -203,12 +204,25 @@ def _received(ch: ChannelState, profile: PowerProfile) -> tuple[list[float], flo
     if len(profile.p) != len(ch.gains2):
         raise ValueError(f"{len(profile.p)} powers for {len(ch.gains2)} gains")
     a = list(map(operator.mul, profile.p, ch.gains2))
-    if len(a) >= 8:  # numpy's pairwise blocks, see above
-        return a, float(np.sum(a))
+    return a, _total(a)
+
+
+def _total(terms: list[float]) -> float:
+    """The terms' total as numpy's pairwise sum adds them, from numpy's 0.0 start (see above)."""
+    n = len(terms)
+    if n > 128:  # the halves, the first a multiple of 8 long
+        half = n // 2 - n // 2 % 8
+        return _total(terms[:half]) + _total(terms[half:])
     total = 0.0
-    for x in a:
+    if n >= 8:  # eight running sums over blocks of 8, joined pairwise, then the rest
+        r = terms[:8]
+        for i in range(8, n - n % 8, 8):
+            r = list(map(operator.add, r, terms[i:i + 8]))
+        total += ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        terms = terms[n - n % 8:]
+    for x in terms:
         total += x
-    return a, total
+    return total
 
 
 def _profile_sinrs(cfg: NetworkConfig, ch: ChannelState, profile: PowerProfile) -> list[float]:

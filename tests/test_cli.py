@@ -326,6 +326,44 @@ def test_runner_counts_and_horizons_below_one_exit_1(tmp_path, capsys, name, arg
     assert list(tmp_path.iterdir()) == []
 
 
+K_SIZE = "k must be a positive integer"
+N_SIZE = "spreading factor n must be a positive integer"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--model", "pkt", "--m", "2", "--k", "3", "--n", "0"], N_SIZE),  # traceback
+    (["solve", "--model", "pkt", "--m", "2", "--k", "0"], K_SIZE),  # exited 0, no players
+    (["solve", "--model", "pkt", "--m", "2", "--k", "-2"], K_SIZE),  # exited 0
+    (["solve", "--model", "exp", "--rate", "1", "--k", "1", "--n", "0"], N_SIZE),  # phi nan
+    (["solve", "--model", "pkt", "--m", "2", "--k", "3", "--n", "-5"], N_SIZE),  # exited 4
+    (["experiment", "fig2", "--set", "curves=[[2, 0]]"], N_SIZE),  # traceback
+    (["experiment", "fig3", "--set", "curves=[[3, -1]]"], N_SIZE),  # exited 4
+    (["experiment", "fig5", "--set", "n=0"], N_SIZE),  # traceback
+    (["experiment", "t0sweep", "--set", "n=0"], N_SIZE),  # traceback
+    (["experiment", "fig1", "--set", "n=0"], N_SIZE),  # traceback
+    (["experiment", "fig4", "--set", "n=0"], N_SIZE),  # exited 0 with an empty CSV
+    (["experiment", "fig4", "--set", "m_values=[10]", "--set", 'k_grids={"10": [0, 2]}'],
+     K_SIZE),  # an IndexError traceback
+])
+def test_sizes_that_are_not_positive_integers_exit_1(tmp_path, capsys, argv, message):
+    if argv[0] == "experiment":
+        argv = [*argv, "--out-dir", str(tmp_path)]
+    code, out = _run(argv)
+    assert (code, out) == (1, {})
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_fig4_names_an_m_without_a_grid(tmp_path, capsys):
+    # the default m_values are (10, 100); this printed the KeyError's key, "error: 100"
+    code, out = _run(["experiment", "fig4", "--out-dir", str(tmp_path),
+                      "--set", 'k_grids={"10": [2, 3]}'])
+    assert (code, out) == (1, {})
+    assert capsys.readouterr().err == (
+        "error: fig4 needs a grid in k_grids for every m, got none for m = 100\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("name, workers", [("fig3", "0"), ("fig4", "-3"), ("t0sweep", "0")])
 def test_workers_below_one_exit_1(tmp_path, capsys, name, workers):
     # fig3 and t0sweep take no workers, and ignored the flag

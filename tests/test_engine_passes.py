@@ -84,15 +84,15 @@ def test_one_kernel_pass_when_the_guess_holds(seed, k, drg, script, after, has_b
         stages = int(rng.integers(1, plan.t_total + 1))
     strategy = make_machines(cfg, model, plan, sinrs.beta_star, sinrs.gamma_tilde)
     gains = rng.uniform(cfg.eta_min, cfg.eta_max, size=(stages, k))
+    channels = [ChannelState(tuple(row)) for row in gains.tolist()]
     scenario = None
     if script == "prescribed":  # the cooperative prescription itself: unseen
-        scenario = _script(rng, cfg, sinrs, "max", stages, after)
+        scenario = _script(rng, cfg, strategy, channels, "max", after)
         scenario = dataclasses.replace(
             scenario, power=strategy.coop_action / gains[scenario.stage - 1, scenario.player])
     elif script is not None:
-        scenario = _script(rng, cfg, sinrs, script, stages, after)
+        scenario = _script(rng, cfg, strategy, channels, script, after)
     beta_star = sinrs.beta_star if has_beta else None
-    channels = [ChannelState(tuple(row)) for row in gains.tolist()]
     outcome, calls = _counted(model, cfg, channels, strategy, scenario, beta_star)
     assert 1 <= calls <= 3
     if scenario is None or outcome[0] == "trace" and _detected(outcome) == scenario.stage:

@@ -137,17 +137,17 @@ def _network(rng, k):
     return model, cfg, sinrs
 
 
-def _script(rng, cfg, sinrs, kind, stages, after):
+def _script(rng, cfg, strategy, channels, kind, after):
     player = int(rng.integers(cfg.k))
+    stage = int(rng.integers(1, len(channels) + 1))
     if kind == "watt":
         cap = cfg.p_max[player]
         power = float(rng.choice([rng.uniform(0.0, cap), 0.0, cap, 1.5 * cap, -0.1]))
-    elif kind == "coop_watt":  # the cooperative power itself: invisible
-        power = _equal_action(cfg, sinrs.gamma_tilde) / cfg.eta_min[player]
+    elif kind == "coop_watt":  # the cooperative prescription at the drawn gain: invisible
+        power = strategy.coop_action / channels[stage - 1].gains2[player]
     else:
         power = kind
-    return DeviationScenario(player=player, stage=int(rng.integers(1, stages + 1)),
-                             power=power, best_response_after=after)
+    return DeviationScenario(player=player, stage=stage, power=power, best_response_after=after)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -184,7 +184,7 @@ def test_batched_engine_is_the_per_stage_engine(seed, k, plan_kind, channel, scr
         gains[rows, int(rng.integers(k))] *= 10.0 ** rng.uniform(-4.0, -0.5)
     channels = [ChannelState(tuple(row)) for row in gains.tolist()]
 
-    scenario = None if script is None else _script(rng, cfg, sinrs, script, stages, after)
+    scenario = None if script is None else _script(rng, cfg, strategy, channels, script, after)
     beta_star = sinrs.beta_star if has_beta else None
     args = (model, cfg, channels, strategy, scenario, beta_star)
     assert _outcome(run_game, *args) == _outcome(reference_run_game, *args)

@@ -35,7 +35,9 @@ from powergame.experiments import (
     max_supported_players,
 )
 from powergame.repeated import (
+    _bound_terms,
     _lambda_edge,
+    _punish_interference,
     _t0_edge,
     _t0_floor_edge,
     _t0_ratios,
@@ -253,6 +255,10 @@ def _loaded_game(m, k, n):
     return model, solve_all(model, k, n)
 
 
+def _terms(model, k, n, sinrs):
+    return _bound_terms(model, k, n, sinrs.beta_star, sinrs.gamma_tilde)
+
+
 def _alike(k, n, sigma2, p_max, eta_min, ratio):
     return NetworkConfig.uniform(k=k, n=n, sigma2=sigma2, rate=1.0, p_max=p_max,
                                  eta_min=eta_min, eta_max=eta_min * ratio)
@@ -283,8 +289,8 @@ def test_fig2_edge_is_where_t0_bound_crosses_t(m, k, n, t, log_sigma2,
         except NoFiniteT0Error:
             return False
 
-    edge = _t0_edge(_alike(k, n, *scale, 1.0), model, sinrs.beta_star,
-                    sinrs.gamma_tilde, t)
+    edge = _t0_edge(sinrs.beta_star, _terms(model, k, n, sinrs),
+                    _punish_interference(_alike(k, n, *scale, 1.0))[0], t)
     _check_edge(edge, admissible)
 
 
@@ -298,7 +304,7 @@ def test_fig3_edge_is_where_lambda_bound_crosses_lambda(m, k, n, lam,
         cfg = _alike(k, n, 1e-3, 100.0, 10.0 ** log_eta_min, ratio)
         return lambda_bound(cfg, model, sinrs.beta_star, sinrs.gamma_tilde) >= lam
 
-    edge = _lambda_edge(model, k, n, sinrs.beta_star, sinrs.gamma_tilde, lam)
+    edge = _lambda_edge(k, _terms(model, k, n, sinrs), lam)
     _check_edge(edge, admissible)
 
 
@@ -309,11 +315,12 @@ def test_t0_sweep_floor_puts_the_t0_ratio_on_target(m, k, n, target, ratio,
                                                     log_sigma2, log_p_max):
     model, sinrs = _loaded_game(m, k, n)
     sigma2, p_max = 10.0 ** log_sigma2, 10.0 ** log_p_max
-    floor = _t0_floor_edge(_alike(k, n, sigma2, p_max, 1.0, ratio), model,
-                           sinrs.beta_star, sinrs.gamma_tilde, target)
+    floor = _t0_floor_edge(_alike(k, n, sigma2, p_max, 1.0, ratio), sinrs.beta_star,
+                           _terms(model, k, n, sinrs), target)
     assume(0.0 < floor < math.inf)
     at = _alike(k, n, sigma2, p_max, floor, ratio)
-    r = _t0_ratios(at, model, sinrs.beta_star, sinrs.gamma_tilde)[0]
+    r = _t0_ratios(at, sinrs.beta_star, sinrs.gamma_tilde, _terms(model, k, n, sinrs),
+                   _punish_interference(at))[0]
     np.testing.assert_allclose(r, target, rtol=1e-9)
 
 

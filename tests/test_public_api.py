@@ -1,6 +1,9 @@
-"""The package's public names: adding or removing one is a deliberate edit here."""
+"""The package's public names and its module-level caches: adding or removing one
+is a deliberate edit here."""
 
+import importlib
 import inspect
+import pkgutil
 
 import powergame
 
@@ -28,3 +31,23 @@ def test_the_package_exports_exactly_its_public_names():
     exported = sorted(name for name, value in vars(powergame).items()
                       if not name.startswith("_") and not inspect.ismodule(value))
     assert exported == PUBLIC_NAMES
+
+
+# every functools cache at module level, by module.name, with its maxsize (None: unbounded);
+# each is state that every caller in the process shares
+MODULE_CACHES = {
+    "channel._gain_block": 1,
+    "efficiency._packet_beta_star": 256,
+    "repeated._phase_labels": None,
+    "static_game._column_names": None,
+}
+
+
+def test_the_module_level_caches_are_exactly_these():
+    caches = {}
+    for info in pkgutil.iter_modules(powergame.__path__):
+        module = importlib.import_module(f"powergame.{info.name}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_info") and value.__module__ == module.__name__:
+                caches[f"{info.name}.{name}"] = value.cache_info().maxsize
+    assert caches == MODULE_CACHES

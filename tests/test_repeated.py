@@ -1,7 +1,9 @@
 """Repeated-game bounds, the trigger strategy, and the stage-game engine."""
 
+import contextlib
 import csv
 import dataclasses
+import io
 import math
 from typing import NamedTuple
 
@@ -159,12 +161,20 @@ def test_bounds_refuse_loads_without_a_one_shot_equilibrium():
 _BOUNDS = (t0_bound_exact_deviation, t0_bound, rg_bounds)
 
 
+def _ratios(cfg, model, beta_star, gamma_tilde, exact_deviation=False):
+    """``repeated._t0_ratios`` with its terms and interference computed here."""
+    return repeated._t0_ratios(
+        cfg, beta_star, gamma_tilde,
+        repeated._bound_terms(model, cfg.k, cfg.n, beta_star, gamma_tilde),
+        repeated._punish_interference(cfg), exact_deviation)
+
+
 def _each_bound(cfg, model, beta_star, gamma_tilde):
     """Each public bound, then the real-valued t0 ratios behind both t0 variants,
-    which a stale ``_bound_inputs`` hit would move even where a ceiling hides it."""
+    which a value kept from another call would move even where a ceiling hides it."""
     args = (cfg, model, beta_star, gamma_tilde)
     return [bound(*args) for bound in _BOUNDS] + [
-        repeated._t0_ratios(*args, exact_deviation=exact) for exact in (False, True)]
+        _ratios(*args, exact_deviation=exact) for exact in (False, True)]
 
 
 def test_shared_bound_inputs_serve_only_their_own_arguments():
@@ -174,11 +184,9 @@ def test_shared_bound_inputs_serve_only_their_own_arguments():
     base = NetworkConfig(k=3, n=16, sigma2=1e-3, rates=1.0, p_max=(10.0, 15.0, 20.0),
                          eta_min=(0.5, 0.6, 0.7), eta_max=(1.0, 1.3, 1.1))
     cold = []
-    for bound in (*_BOUNDS, repeated._t0_ratios):
-        repeated._bound_inputs.cache_clear()
+    for bound in (*_BOUNDS, _ratios):
         cold.append(bound(base, model, *args))
     assert cold[:3] == [2, 3, repeated.RgBounds(3, 0.0028504713265502706, 0.008198262589523997)]
-    repeated._bound_inputs.cache_clear()
     rg_bounds(base, model, *args)  # a report's order: rg_bounds, then the exact variant
     assert _each_bound(base, model, *args)[:4] == cold
 
@@ -197,7 +205,6 @@ def test_shared_bound_inputs_serve_only_their_own_arguments():
     expected = _each_bound(base, model, *args)
     for name, (cfg, other_model) in others.items():
         for i in range(len(expected)):
-            repeated._bound_inputs.cache_clear()
             try:
                 rg_bounds(cfg, other_model, *args)
             except PowerGameError:
@@ -212,13 +219,8 @@ def test_shared_bound_inputs_tell_numpy_floats_from_floats():
     sinrs = solve_all(model, 3, 16)
     cfg = _uniform_cfg(3, 16, ratio=1.5)
     as_numpy = (np.float64(sinrs.beta_star), np.float64(sinrs.gamma_tilde))
-    repeated._bound_inputs.cache_clear()
     from_numpy = _each_bound(cfg, model, *as_numpy)
-    misses = repeated._bound_inputs.cache_info().misses
     assert _each_bound(cfg, model, sinrs.beta_star, sinrs.gamma_tilde) == from_numpy
-    assert repeated._bound_inputs.cache_info().misses == misses + 1
-    repeated._bound_inputs(cfg, model, *as_numpy)
-    assert repeated._bound_inputs.cache_info().misses == misses + 2
 
 
 def test_bound_errors_are_raised_on_every_call():
@@ -231,11 +233,45 @@ def test_bound_errors_are_raised_on_every_call():
             (_uniform_cfg(2, 2), (overloaded.beta_star, overloaded.gamma_tilde),
              NoNashEquilibriumError),
             (weak, (sinrs.beta_star, sinrs.gamma_tilde), NoFiniteT0Error)):
-        repeated._bound_inputs.cache_clear()
         for _ in range(2):
             for bound in _BOUNDS:
                 with pytest.raises(error):
                     bound(cfg, model, beta, gamma)
+
+
+def test_each_report_evaluates_f_once_at_each_sinr(monkeypatch, tmp_path):
+    """rg_bounds, t0_bound_exact_deviation, ``powergame solve`` and each fig2 and fig3
+    curve evaluate f once at beta_star and once at gamma_tilde."""
+    from powergame.cli import main
+    from powergame.experiments import fig2_dynamics_vs_t, fig3_dynamics_vs_lambda
+
+    seen = []
+    value = PacketSuccess.value
+    monkeypatch.setattr(PacketSuccess, "value", lambda self, x: seen.append(x) or value(self, x))
+
+    def evaluations(run):
+        seen.clear()
+        run()
+        return sorted(seen)
+
+    model = PacketSuccess(4)
+    sinrs = solve_all(model, 3, 16)
+    once = sorted([sinrs.beta_star, sinrs.gamma_tilde])
+    cfg = NetworkConfig(k=3, n=16, sigma2=1e-3, rates=1.0, p_max=(10.0, 15.0, 20.0),
+                        eta_min=(0.5, 0.6, 0.7), eta_max=(1.0, 1.3, 1.1))
+    for report in (rg_bounds, t0_bound_exact_deviation):
+        assert evaluations(lambda: report(cfg, model, sinrs.beta_star, sinrs.gamma_tilde)) == once
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert evaluations(lambda: main(["solve", "--model", "pkt", "--m", "4", "--k", "3",
+                                         "--n", "16"])) == once
+    curves = ((2, 2), (4, 5))
+    swept = [solve_all(PacketSuccess(2), k, n) for k, n in curves]
+    per_curve = sorted(x for s in swept for x in (s.beta_star, s.gamma_tilde))
+    path = str(tmp_path / "sweep.csv")
+    assert evaluations(lambda: fig2_dynamics_vs_t(path, curves=curves, t_grid=(1, 5, 9))) \
+        == per_curve
+    assert evaluations(lambda: fig3_dynamics_vs_lambda(path, curves=curves,
+                                                       lambda_grid=(0.1, 0.2, 0.3))) == per_curve
 
 
 def test_exact_deviation_bound_never_exceeds_worst_case_bound():

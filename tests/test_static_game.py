@@ -368,7 +368,7 @@ def test_one_profile_total_is_numpys_sum():
     of the additions shows: terms of like size rounding differently in another order,
     and negative zeros, which numpy sums to 0.0 from its 0.0 start."""
     rng = np.random.default_rng(7)
-    for k in range(1, 21):
+    for k in [*range(1, 21), 64, 127, 128, 129, 136, 257, 300]:
         ch = ChannelState((1.0,) * k)  # the actions are the powers, exactly
         for _ in range(300):
             a = rng.uniform(0.0, 1.0, k) * 10.0 ** rng.integers(0, 17, k)
