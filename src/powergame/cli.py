@@ -236,7 +236,7 @@ def cmd_solve(args) -> int:
     _emit("gamma_tilde", sinrs.gamma_tilde)
     _emit("phi_beta_star", terms[1])
     _emit("phi_gamma_tilde", terms[2])
-    _emit("delta", 0.0 if sinrs.gamma_tilde == sinrs.beta_star else _surplus(*terms))
+    _emit("delta", _surplus(*terms))
     return 0
 
 

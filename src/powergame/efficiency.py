@@ -78,9 +78,8 @@ def _sinr_formula(positive: bool):
             if isinstance(x, float):
                 if not in_domain(x, 0.0):
                     raise ValueError(message)
-                try:  # a bare call when nothing is forwarded: 0.1 us less per call
-                    return float(formula(obj, x, *args, **kwargs) if args or kwargs
-                                 else formula(obj, x))
+                try:
+                    return float(formula(obj, x, *args, **kwargs))
                 except ZeroDivisionError:
                     pass
             elif type(x) is list:
@@ -123,8 +122,6 @@ class PacketSuccess:
     @_sinr_formula(positive=False)
     def value(self, x):
         return (1.0 - np.exp(-x)) ** self.m
-
-    __call__ = value
 
     @_sinr_formula(positive=True)
     def deriv(self, x):
@@ -233,8 +230,6 @@ class InfoTheoretic:
         with np.errstate(divide="ignore"):  # x = 0 maps to exp(-inf) = 0
             return np.exp(-self.c / (x + 0.0))  # + 0.0 makes -0.0 into 0.0
 
-    __call__ = value
-
     @_sinr_formula(positive=True)
     def deriv(self, x):
         """f'(x)."""
@@ -267,7 +262,8 @@ def solve_gamma_tilde(model: EfficiencyModel, k: int, n: int) -> float:
     A UniquenessRiskWarning is emitted (and the root still returned) when
     the family fails its ``single_crossing`` argument.
     """
-    if k <= 1:
+    k, n = _sizes(k, n)
+    if k == 1:
         return solve_beta_star(model)
     if not model.single_crossing:
         warnings.warn(
@@ -285,7 +281,8 @@ def leader_coefficient(k: int, n: int, beta_star: float) -> float:
     beta_star) from the leader's SINR: the leader maximises
     (f(x)/x)*(1 - A*x) with A = ((k-1)*beta_star/n**2) / (1 - (k-2)*beta_star/n).
     """
-    if k <= 1:
+    k, n = _sizes(k, n)
+    if k == 1:
         return 0.0
     react = 1.0 - (k - 2) * beta_star / n
     if react <= 0.0:
@@ -298,9 +295,8 @@ def leader_coefficient(k: int, n: int, beta_star: float) -> float:
 
 def solve_gamma_star(model: EfficiencyModel, k: int, n: int, beta_star: float) -> float:
     """Leader SINR of the hierarchical (leader-follower) equilibrium."""
-    if k <= 1:
-        return beta_star
-    return model._root(leader_coefficient(k, n, beta_star))
+    coeff = leader_coefficient(k, n, beta_star)  # checks the sizes
+    return beta_star if k == 1 else model._root(coeff)
 
 
 @_sinr_formula(positive=True)

@@ -186,8 +186,7 @@ def _surplus(f_ne: float, phi_ne: float, phi_op: float) -> float:
 def delta_gain(model: EfficiencyModel, k: int, n: int,
                beta_star: float, gamma_tilde: float) -> float:
     """Per-stage cooperation surplus in equal-action utility units (>= 0)."""
-    return (0.0 if gamma_tilde == beta_star
-            else _surplus(*_bound_terms(model, k, n, beta_star, gamma_tilde)))
+    return _surplus(*_bound_terms(model, k, n, beta_star, gamma_tilde))
 
 
 def _t0_ratios(cfg: NetworkConfig, beta_star: float, gamma_tilde: float, terms: tuple,
@@ -284,8 +283,7 @@ def lambda_bound(cfg: NetworkConfig, model: EfficiencyModel, beta_star: float,
     min over players of eta_min*delta / (eta_min*delta + eta_max*((k-1)*f(b) - delta)),
     zero when the cooperation surplus delta vanishes (k = 1 degeneracy).
     """
-    return (0.0 if gamma_tilde == beta_star
-            else _lambda_max(cfg, _bound_terms(model, cfg.k, cfg.n, beta_star, gamma_tilde)))
+    return _lambda_max(cfg, _bound_terms(model, cfg.k, cfg.n, beta_star, gamma_tilde))
 
 
 def _lambda_max(cfg: NetworkConfig, terms: tuple) -> float:
@@ -313,8 +311,6 @@ def rg_bounds(cfg: NetworkConfig, model: EfficiencyModel, beta_star: float,
     terms = _bound_terms(model, cfg.k, cfg.n, beta_star, gamma_tilde)
     t0 = _t0_from_ratios(_t0_ratios(cfg, beta_star, gamma_tilde, terms,
                                     _punish_interference(cfg)))
-    if gamma_tilde == beta_star:  # no surplus
-        return RgBounds(t0, 0.0, 0.0)
     return RgBounds(t0, _lambda_max(cfg, terms), _surplus(*terms))
 
 

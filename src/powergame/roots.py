@@ -8,14 +8,14 @@ every midpoint.  ``bisect_near`` takes the crossing from the caller's
 estimate, derives the bracket from it and replays the same bisection with
 the signs away from the estimate taken as known, evaluating fn only near
 it; the replay's own evaluations check the estimate.  Both go through one
-loop, ``_replay``.  fn itself takes no Newton steps: the second derivative
-of the efficiency models changes sign inside the search interval.
+loop, ``_replay``, which takes every halving from the bracket on.  fn itself
+takes no Newton steps: the second derivative of the efficiency models
+changes sign inside the search interval.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from typing import Callable
 
 from .errors import SolverError
@@ -125,13 +125,15 @@ def _replay(fn: Callable[[float], float], lo: float, hi: float, a: float,
             b: float) -> tuple[float, float]:
     """Plain bisection's last [lo, hi], fn's crossing located in [a, b] inside [lo, hi].
 
-    Midpoints more than GUARD_ULPS ulps outside [a, b] take the sign of
-    their side, and only midpoints in between call fn; with [a, b] = [lo, hi]
-    every midpoint calls fn.
+    Every halving from [lo, hi] on is a step of this loop.  Midpoints more
+    than GUARD_ULPS ulps outside [a, b] take the sign of their side, and only
+    midpoints in between call fn; with [a, b] = [lo, hi] every midpoint calls
+    fn.  On ``bisect_near``'s binade the halvings down to the band, at most
+    about 52, call nothing, and no stop test fires among them: [lo, hi] still
+    holds the band, wider than REL_TOL * hi and than two floats.
     """
     left, right = _band(a, b)
-    lo, hi, step = _halve_to_band(lo, hi, left, right)
-    for _ in range(step, MAX_STEPS):
+    for _ in range(MAX_STEPS):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break  # interval collapsed to adjacent floats
@@ -147,29 +149,3 @@ def _replay(fn: Callable[[float], float], lo: float, hi: float, a: float,
 def _band(a: float, b: float) -> tuple[float, float]:
     """The floats GUARD_ULPS ulps outside [a, b]: the replay evaluates fn between them."""
     return a - GUARD_ULPS * math.ulp(a), b + GUARD_ULPS * math.ulp(b)
-
-
-def _halve_to_band(lo: float, hi: float, left: float,
-                   right: float) -> tuple[float, float, int]:
-    """Bisection's [lo, hi] and step count when a midpoint first falls in [left, right].
-
-    The halvings before it take the sign of the band's side.  While they do,
-    [lo, hi] holds the band and reaches past it where it moved, so it is
-    wider than REL_TOL * hi and than two floats: no stop test can fire.
-    They are skipped in closed form on a binade [lo, 2 lo] holding the band
-    strictly inside, ``bisect_near``'s bracket.  Elsewhere none are skipped,
-    (lo, hi, 0), and ``_replay``'s loop takes them; ``bisect``'s bracket,
-    inside its band, has none.
-    """
-    if sys.float_info.min <= lo < left and right < hi == 2.0 * lo and math.frexp(lo)[0] == 0.5:
-        # On the binade [lo, 2 lo] every such midpoint is exact: in units of the
-        # spacing there, [lo, hi] is [0, 2**52], step s halves it at an odd multiple
-        # of 2**(51 - s), and the first in [first, last] is the number there with
-        # the most trailing zeros, t of them.
-        unit = math.ulp(lo)
-        first = int((left - lo) / unit)
-        last = int((right - lo) / unit)
-        t = ((first - 1) ^ last).bit_length() - 1
-        mid = last >> t << t
-        return lo + (mid - (1 << t)) * unit, lo + (mid + (1 << t)) * unit, 51 - t
-    return lo, hi, 0

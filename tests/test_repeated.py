@@ -301,6 +301,37 @@ def test_single_player_bounds_are_trivial():
     assert delta_gain(model, 1, 1, sinrs.beta_star, sinrs.gamma_tilde) == 0.0
 
 
+@pytest.mark.parametrize("model, family", [
+    (PacketSuccess(4), ["--model", "pkt", "--m", "4"]),
+    (InfoTheoretic.from_c(1.0), ["--model", "exp", "--c", "1"]),
+])
+def test_equal_sinrs_have_zero_surplus_from_the_bound_terms(model, family):
+    # at k = 1 gamma_tilde is beta_star, and phi is the same float expression at both
+    from powergame.cli import main
+
+    cfg = NetworkConfig.uniform(k=1, n=16, sigma2=1.0, rate=1.0, p_max=10.0,
+                                eta_min=1.0, eta_max=2.0)
+    sinrs = solve_all(model, 1, 16)
+    b, gt = sinrs.beta_star, sinrs.gamma_tilde
+    assert gt == b
+    assert delta_gain(model, 1, 16, b, gt) == 0.0
+    assert lambda_bound(cfg, model, b, gt) == 0.0
+    assert rg_bounds(cfg, model, b, gt) == repeated.RgBounds(1, 0.0, 0.0)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["solve", *family, "--k", "1", "--n", "16"]) == 0
+    assert "delta=0.0\n" in out.getvalue()
+    # equal SINRs without a one-shot equilibrium, (k - 1) * 2.0 >= n, raise in every bound
+    overloaded = NetworkConfig.uniform(k=3, n=1, sigma2=1.0, rate=1.0, p_max=10.0,
+                                       eta_min=1.0, eta_max=2.0)
+    for bound in (lambda: delta_gain(model, 3, 1, 2.0, 2.0),
+                  lambda: lambda_bound(overloaded, model, 2.0, 2.0),
+                  lambda: rg_bounds(overloaded, model, 2.0, 2.0),
+                  lambda: t0_bound(overloaded, model, 2.0, 2.0)):
+        with pytest.raises(NoNashEquilibriumError):
+            bound()
+
+
 def test_cooperation_surplus_identity_without_spreading():
     # (k-1) f(b) - delta equals f(b)/b - phi(gt) when n = 1
     from powergame.efficiency import solve_beta_star, solve_gamma_tilde

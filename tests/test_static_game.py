@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powergame.efficiency import InfoTheoretic, PacketSuccess, solve_all
+from powergame.efficiency import (
+    InfoTheoretic,
+    PacketSuccess,
+    leader_coefficient,
+    solve_all,
+    solve_gamma_star,
+    solve_gamma_tilde,
+)
 from powergame.errors import NoNashEquilibriumError, SaturatedRegimeError
 from powergame.experiments import fig1_region
 from powergame.static_game import (
@@ -102,10 +109,20 @@ def test_config_fields_must_be_finite():
     (0, 1, "k must be a positive integer"),
     (2.5, 1, "k must be a positive integer"),
     (2, 0, "spreading factor n must be a positive integer"),
+    (3, 0, "spreading factor n must be a positive integer"),
 ])
 def test_config_needs_positive_integer_sizes(k, n, message):
-    with pytest.raises(ValueError, match=message):
-        NetworkConfig(k=k, n=n, sigma2=1.0, rates=1.0, p_max=1.0, eta_min=1.0, eta_max=2.0)
+    # the config and every solver that takes the sizes reject them alike
+    model = PacketSuccess(4)
+    for build in (
+            lambda: NetworkConfig(k=k, n=n, sigma2=1.0, rates=1.0, p_max=1.0, eta_min=1.0,
+                                  eta_max=2.0),
+            lambda: solve_all(model, k, n),
+            lambda: solve_gamma_tilde(model, k, n),
+            lambda: solve_gamma_star(model, k, n, 2.0),
+            lambda: leader_coefficient(k, n, 2.0)):
+        with pytest.raises(ValueError, match=message):
+            build()
 
 
 def test_integral_float_sizes_are_stored_as_integers():
