@@ -13,7 +13,6 @@ from .channel import (
     ChannelMode,
     ChannelProcess,
     acceptance_probability,
-    draw,
     draw_block,
     draw_sequence,
     dynamics_db,

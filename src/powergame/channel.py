@@ -16,8 +16,10 @@ The two key schemes are layouts over one uniform stream per key:
                    outputs [i*stages, (i+1)*stages)
 
 so engine draws do not shift when players are added, and neither do the
-columns of a bulk block.  ``constant`` mode freezes the stage-1 draw for the
-whole game; ``per_stage`` redraws every stage.
+columns of a bulk block.  ``draw_sequence`` returns a game's engine draws as a
+``GainPath``, one checked, read-only (stages, k) block, and ``draw_block`` a
+bulk block; both check their arguments before drawing.  ``constant`` mode
+freezes the stage-1 draw for the whole game; ``per_stage`` redraws every stage.
 """
 
 from __future__ import annotations
@@ -26,12 +28,13 @@ import functools
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from math import exp, expm1, isfinite, log10
+from math import exp, expm1, inf, isfinite, log10
+from numbers import Integral
 
 import numpy as np
 
 from .errors import ChannelConfigError
-from .static_game import ChannelState, NetworkConfig, _Columns
+from .static_game import ChannelState, NetworkConfig
 
 MIN_ACCEPTANCE = 1e-6
 _BULK_KEY_OFFSET = 2**32  # keeps bulk substreams disjoint from per-player keys
@@ -144,44 +147,46 @@ def _engine_gains(process: ChannelProcess, stages: int) -> np.ndarray:
     return gains
 
 
-def draw(process: ChannelProcess, t: int) -> ChannelState:
-    """Gains for stage t (1-based): stage t of ``draw_sequence(process, t)``."""
-    if t < 1:
-        raise ValueError("stages are 1-based")
-    return ChannelState(tuple(_engine_gains(process, t)[:, -1].tolist()))
-
-
 @dataclass(frozen=True, eq=False)
-class GainPath(_Columns):
-    """``ChannelState``s of stages 1..T over one read-only (T, k) gain block,
-    which ``run_game`` plays as it is."""
+class GainPath:
+    """Squared gains of stages 1..T as one read-only (T, k) block, which ``run_game``
+    plays as it is.  Built checked: ``ChannelState``'s ValueError for the first gain
+    in stage order that is not positive and finite."""
 
     gains2: np.ndarray
 
-    def _build(self) -> list[ChannelState]:
-        return list(map(ChannelState, self.gains2.tolist()))
+    def __post_init__(self):
+        bad = ~((self.gains2 > 0.0) & (self.gains2 < np.inf))
+        if bad.any():
+            ChannelState(self.gains2[np.argwhere(bad)[0][0]].tolist())  # raises for that gain
+        self.gains2.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.gains2)
 
 
-# typed: a hit must not answer for stages=3.0, which a fresh draw rejects
-@functools.lru_cache(maxsize=1, typed=True)
-def _gain_block(process: ChannelProcess, stages: int) -> np.ndarray:
-    """The checked (stages, k) engine block, kept for the last arguments: a
-    game and its deviations replay one path.  It lies in immutable ``bytes``,
-    so no caller can make it writeable; an error is not kept, so a bad gain
-    raises on every call."""
+def _count(value, name: str, stop: float = inf) -> int:
+    """value as an int in [0, stop), a bool never; else a ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or not 0 <= value < stop:
+        raise ValueError(f"{name} must be an integer in [0, {stop}), got {value!r}")
+    return int(value)
+
+
+@functools.lru_cache(maxsize=1)
+def _gain_block(process: ChannelProcess, stages: int) -> GainPath:
+    """The checked engine path, kept for the last arguments: a game and its
+    deviations replay one path.  Its block lies in immutable ``bytes``, so no
+    caller can make it writeable; an error is not kept, so a bad gain raises
+    on every call."""
     block = np.frombuffer(_engine_gains(process, stages).T.tobytes()).reshape(-1, process.k)
-    bad = ~((block > 0.0) & (block < np.inf))
-    if bad.any():
-        ChannelState(block[np.argwhere(bad)[0][0]].tolist())  # raises for that gain
-    return np.broadcast_to(block, (stages, process.k))
+    return GainPath(np.broadcast_to(block, (stages, process.k)))
 
 
 def draw_sequence(process: ChannelProcess, stages: int) -> GainPath:
     """Gains for stages 1..stages as a ``GainPath``; constant mode repeats stage 1.
 
-    The block is checked once, raising ``ChannelState``'s ValueError for the
-    first bad gain in stage order."""
-    return GainPath(_gain_block(process, stages))
+    ``stages`` is an integer >= 0, checked before anything is drawn."""
+    return _gain_block(process, _count(stages, "stages"))
 
 
 def draw_block(process: ChannelProcess, stages: int, substream: int = 0) -> np.ndarray:
@@ -192,9 +197,10 @@ def draw_block(process: ChannelProcess, stages: int, substream: int = 0) -> np.n
     filled one at a time through a reused buffer, so the uniforms never
     need more than one column of memory.
     """
+    stages = _count(stages, "stages")
+    substream = _count(substream, "substream", 2**64 - _BULK_KEY_OFFSET)  # key in 64 bits
     if process.mode is ChannelMode.CONSTANT:
-        row = np.asarray(draw(process, 1).gains2)
-        return np.tile(row, (stages, 1))
+        return np.tile(_gain_block(process, 1).gains2, (stages, 1))
     gen = _stream(process.seed, _BULK_KEY_OFFSET + substream)
     out = np.empty((stages, process.k))
     col = np.empty(stages)

@@ -39,8 +39,10 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import experiments
-from .channel import ChannelMode, ChannelProcess, draw_sequence
+from .channel import ChannelMode, ChannelProcess, GainPath, draw_sequence
 from .efficiency import (
     InfoTheoretic,
     PacketSuccess,
@@ -181,7 +183,7 @@ def _resolve_seed(args) -> int:
 
 
 def _gains(doc: dict, args, cfg: NetworkConfig, stages: int):
-    """Channel states for the run: explicit gains2, or drawn from the process."""
+    """The run's ``GainPath``: explicit gains2 at every stage, or drawn from the process."""
     if "gains2" in doc:
         state = ChannelState(_field(doc, "gains2", lambda g: [float(v) for v in g],
                                     "scenario"))
@@ -192,7 +194,7 @@ def _gains(doc: dict, args, cfg: NetworkConfig, stages: int):
                 raise ChannelConfigError(
                     f"gains2 entry {g} of player {i + 1} lies outside its "
                     f"bounds [eta_min, eta_max] = [{lo}, {hi}]")
-        return [state] * stages
+        return GainPath(np.broadcast_to(state.gains2, (stages, cfg.k)))
     chan = {"mode": "constant", "mean_gain2": 1.0,
             **_layered(doc, args, "channel", {"seed": args.seed})}
     process = ChannelProcess.from_config(
@@ -242,7 +244,7 @@ def cmd_solve(args) -> int:
 
 def cmd_equilibria(args) -> int:
     doc, model, cfg, sinrs = _scenario(args)
-    ch = _gains(doc, args, cfg, 1)[0]
+    ch = ChannelState(_gains(doc, args, cfg, 1).gains2[0].tolist())
 
     def with_utility(profile):
         return profile, utility(model, cfg, ch, profile)

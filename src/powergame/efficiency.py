@@ -63,8 +63,8 @@ def _sinr_formula(positive: bool):
     The domain is x > 0 when `positive` is set and x >= 0 otherwise.  A float
     (numpy float64 included) is checked and evaluated as itself; formulas use
     numpy ufuncs (``np.exp``, ``np.power``) and ``x * x`` so that it gets the
-    bits of a 0-d array.  Where a float divides by zero (x = 0 or x * x
-    underflowing), and for any other input, the formula runs on a float array.
+    bits of a 0-d array.  Where a float divides by zero (``InfoTheoretic.value``
+    at x = 0), and for any other input, the formula runs on a float array.
     A list of numbers (the one-profile SINRs of ``static_game``) is checked in
     Python, NaN failing, and becomes that array in one ``np.array`` call; a list
     Python cannot compare with 0.0 (nested, or of strings) takes the array path.
@@ -232,9 +232,14 @@ class InfoTheoretic:
 
     @_sinr_formula(positive=True)
     def deriv(self, x):
-        """f'(x)."""
+        """f'(x) = c/x**2 exp(-c/x), in logs where x*x is no normal float or c/(x*x)
+        overflows: there exp(-c/x) can vanish, and the product would be inf * 0."""
         c = self.c
-        return c / (x * x) * np.exp(-c / x)
+        with np.errstate(all="ignore"):  # the branch np.where drops may warn
+            scale = np.divide(c, x * x)
+            normal = (x * x >= np.finfo(float).tiny) & (x * x < inf) & (scale < inf)
+            return np.where(normal, scale * np.exp(-c / x),
+                            np.exp(np.log(c) - 2.0 * np.log(x) - c / x))
 
     # f''/f' = (c - 2x)/x**2, so h = 0 with its positive denominators cleared,
     # (c - 2x)(n - (k-1)x) = 2(k-1)x**2, is linear in x: h, from +inf at 0 to -inf,

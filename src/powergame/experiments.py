@@ -27,7 +27,7 @@ import json
 import math
 import os
 import time
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from functools import partial
 from numbers import Integral, Real
 
@@ -349,7 +349,7 @@ def _dynamics_sweep(csv_path, out_dir, name, x_name, config, grid, edge):
     csv_path = csv_path or _default_path(out_dir, name)
     _write_csv(csv_path, name, config, None,
                ["k", "n", x_name, "ratio_max", "dynamics_db", "admissible"],
-               _cells(map(astuple, rows)))
+               _cells(vars(r).values() for r in rows))
     return DynamicsResult(csv_path, tuple(rows))
 
 
@@ -479,7 +479,7 @@ def fig4_welfare_vs_load(csv_path=None, out_dir=".", n: int = 128,
     _write_csv(csv_path, "fig4", config, seed,
                ["m", "k", "alpha", "op_gain_mean", "op_gain_stderr",
                 "se_gain_mean", "se_gain_stderr", "alpha_max"],
-               _cells(map(astuple, rows)))
+               _cells(vars(r).values() for r in rows))
     return Fig4Result(csv_path, tuple(rows), tuple(skipped))
 
 
@@ -645,6 +645,6 @@ def fig5_t0_sweep(csv_path=None, out_dir=".", k: int = 35, m: int = 10,
               "target": target}
     csv_path = csv_path or _default_path(out_dir, "fig5_t0_sweep")
     _write_csv(csv_path, "fig5_t0_sweep", config, None,
-               ["eta_min", "t0", "matches_target"], _cells(map(astuple, rows)))
+               ["eta_min", "t0", "matches_target"], _cells(vars(r).values() for r in rows))
     return T0SweepResult(csv_path, tuple(rows), target,
                          any(r.matches for r in rows), implied)

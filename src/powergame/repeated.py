@@ -26,7 +26,8 @@ kernel's columns behind ``StageRecord``s built when first read and then kept.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 from enum import Enum
 from math import ceil, floor, log
 
@@ -35,7 +36,7 @@ import numpy as np
 from .channel import GainPath
 from .efficiency import EfficiencyModel, _require_one_shot, equal_action_utility
 from .errors import NoFiniteT0Error, PowerGameError, SaturatedRegimeError
-from .static_game import ChannelState, NetworkConfig, _Columns, _column_names, _equal_action
+from .static_game import ChannelState, NetworkConfig, _equal_action
 from .static_game import _stage_payoffs, _write_table, ne_action
 
 DETECTION_TOL = 1e-9  # relative departure of omega from its cooperative value that counts
@@ -98,13 +99,19 @@ class StageRecord:
     deviation_detected: bool
 
 
+_RECORD_FIELDS = tuple(f.name for f in fields(StageRecord))  # also Trace's columns
+
+
 @dataclass(frozen=True, eq=False)
-class Trace(_Columns):
+class Trace(Sequence):
     """A played game: ``StageRecord``s over read-only columns, one per record field.
 
     The per-player fields are (stages, k) arrays, ``phases`` holds each stage's
-    tuple of k phase labels, the rest are (stages,) arrays.  A slice keeps its
-    ``t`` values.
+    tuple of k phase labels, the rest are (stages,) arrays.  The first full read
+    (iteration, ``==``) builds every record in one batch and keeps them; ``[t]``
+    before that builds one.  A slice is a ``Trace`` over the sliced columns, so
+    it keeps its ``t`` values; ``==`` compares the records with any sequence, and
+    ``[t] = record`` replaces records as in a list, rebuilding the columns.
     """
 
     t: np.ndarray
@@ -116,8 +123,13 @@ class Trace(_Columns):
     phases: tuple[tuple[str, ...], ...]
     deviation_detected: np.ndarray
 
+    def __post_init__(self):
+        for column in (getattr(self, name) for name in _RECORD_FIELDS):
+            if isinstance(column, np.ndarray):
+                column.setflags(write=False)
+
     def _build(self) -> list[StageRecord]:
-        columns = {name: getattr(self, name) for name in _column_names(type(self))}
+        columns = {name: getattr(self, name) for name in _RECORD_FIELDS}
         columns.update({name: zip(*column.T.tolist()) if column.ndim == 2 else column.tolist()
                         for name, column in columns.items() if name != "phases"})
         new = object.__new__
@@ -127,6 +139,39 @@ class Trace(_Columns):
             for fill, value in zip(fills, column):
                 fill[name] = value
         return records
+
+    def __iter__(self):
+        if "_built" not in self.__dict__:
+            object.__setattr__(self, "_built", self._build())
+        return iter(self._built)
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Trace(*(getattr(self, name)[index] for name in _RECORD_FIELDS))
+        if "_built" in self.__dict__:
+            return self._built[index]
+        t = range(len(self))[index]  # IndexError past either end
+        return self[t:t + 1]._build()[0]
+
+    def __setitem__(self, index, record):
+        records = list(self)
+        records[index] = record
+        columns = {}
+        for name in _RECORD_FIELDS:
+            column, cells = getattr(self, name), [getattr(r, name) for r in records]
+            columns[name] = (tuple(cells) if isinstance(column, tuple) else
+                             np.array(cells, column.dtype).reshape(-1, *column.shape[1:]))
+        for name, column in {**columns, "_built": records}.items():
+            object.__setattr__(self, name, column)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
 
 
 @dataclass(frozen=True)
@@ -167,11 +212,13 @@ def _punish_interference(cfg: NetworkConfig) -> list[float]:
     """Each player's noise plus the others' received power at full power and the gain floor."""
     received = [p * eta for p, eta in zip(cfg.p_max, cfg.eta_min)]
     out = []
-    for i in range(cfg.k):
-        total = 0.0  # left to right, as Python's sum did before 3.12 compensated it
-        for x in received[:i] + received[i + 1:]:
-            total += x
+    before = 0.0  # left to right, as Python's sum did before 3.12 compensated it
+    for i, x in enumerate(received):
+        total = before  # the players before i, then on to those after it
+        for y in received[i + 1:]:
+            total += y
         out.append(total + cfg.sigma2)
+        before += x
     return out
 
 
@@ -523,7 +570,7 @@ def run_game(model: EfficiencyModel, cfg: NetworkConfig,
     _, s, fixed, lo, hi = override  # row s is the script's first, if it overrides any
     guess = s + 1 if s < window and (fixed is not None or lo < hi) else 0
     for _ in range(3):  # a wrong guess is followed by t* or by 0, and 0 by t*
-        coop, end = (guess, guess) if guess else (window, stages)  # guess <= window
+        coop, end = strategy._spans(stages, guess + 1 if guess else None)  # guess <= window
         prescribed = strategy.powers(Phase.COOPERATE, gains2)  # the later rows are overwritten
         prescribed[coop:] = strategy.powers(Phase.PUNISH if guess else Phase.ENDGAME, gains2[coop:])
         powers = _scripted(override, cfg, beta_star, gains2, prescribed)

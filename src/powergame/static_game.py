@@ -27,11 +27,10 @@ as numpy's vector loops do.
 
 from __future__ import annotations
 
-import functools
 import operator
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,67 +96,6 @@ class ChannelState:
         for g in self.gains2:
             if not 0.0 < g < np.inf:
                 raise ValueError(f"squared gain {g} must be positive and finite")
-
-
-@functools.cache
-def _column_names(cls) -> tuple[str, ...]:
-    """The field names of a ``_Columns`` class, in order, read once per class."""
-    return tuple(f.name for f in fields(cls))
-
-
-@dataclass(frozen=True, eq=False)
-class _Columns(Sequence):
-    """A sequence of per-stage items over read-only columns, one row per stage.
-
-    Subclasses are frozen dataclasses whose fields are the columns, named as
-    the item's fields, and whose ``_build`` makes every item in one batch.  The
-    first full read (iteration, ``==``) builds the items and keeps them; ``[t]``
-    before that builds one.  A slice is the same type over the sliced columns,
-    ``==`` compares the items with any sequence, and ``[t] = item`` replaces
-    items as in a list, rebuilding the columns from them.
-    """
-
-    def __post_init__(self):
-        for name in _column_names(type(self)):
-            column = getattr(self, name)
-            if isinstance(column, np.ndarray):
-                column.setflags(write=False)
-
-    def _items(self) -> list:
-        if "_built" not in self.__dict__:
-            object.__setattr__(self, "_built", self._build())
-        return self._built
-
-    def __iter__(self):
-        return iter(self._items())
-
-    def __len__(self) -> int:
-        return len(getattr(self, _column_names(type(self))[0]))
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return type(self)(*(getattr(self, name)[index] for name in _column_names(type(self))))
-        if "_built" in self.__dict__:
-            return self._built[index]
-        t = range(len(self))[index]  # IndexError past either end
-        return self[t:t + 1]._build()[0]
-
-    def __setitem__(self, index, value):
-        items = list(self._items())
-        items[index] = value
-        columns = {}
-        for name in _column_names(type(self)):
-            column, cells = getattr(self, name), [getattr(item, name) for item in items]
-            columns[name] = (tuple(cells) if isinstance(column, tuple) else
-                             np.array(cells, column.dtype).reshape(-1, *column.shape[1:]))
-        for name, column in {**columns, "_built": items}.items():
-            object.__setattr__(self, name, column)
-        self.__post_init__()
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return list(self) == list(other)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 """Bounded-gain fading processes: determinism, truncation, distribution."""
 
 import cProfile
+import dataclasses
 import math
 import pstats
+import re
 import subprocess
 import sys
 import threading
@@ -19,12 +21,12 @@ from powergame.channel import (
     MIN_ACCEPTANCE,
     ChannelMode,
     ChannelProcess,
+    GainPath,
     _engine_gains,
     _laws,
     _stream,
     _truncated_exponential,
     acceptance_probability,
-    draw,
     draw_block,
     draw_sequence,
     dynamics_db,
@@ -38,38 +40,85 @@ def _process(k=2, mode="per_stage", mean=1.0, lo=0.1, hi=10.0, seed=7):
                           eta_min=(lo,) * k, eta_max=(hi,) * k, seed=seed)
 
 
+def _states(path):
+    """A drawn path's stages as ``ChannelState``s, one per row of its block."""
+    return [ChannelState(row) for row in path.gains2.tolist()]
+
+
+def _stage(process, t):
+    """Stage t's state: the last row of a t-stage path."""
+    return _states(draw_sequence(process, t))[-1]
+
+
 def test_draws_stay_inside_bounds():
     proc = _process(k=3, lo=0.4, hi=2.5)
-    for state in draw_sequence(proc, 200):
+    for state in _states(draw_sequence(proc, 200)):
         assert all(0.4 <= g <= 2.5 for g in state.gains2)
 
 
 def test_same_seed_replays_identically():
-    a = draw_sequence(_process(seed=42), 50)
-    b = draw_sequence(_process(seed=42), 50)
-    assert [s.gains2 for s in a] == [s.gains2 for s in b]
-    c = draw_sequence(_process(seed=43), 50)
-    assert [s.gains2 for s in a] != [s.gains2 for s in c]
+    a = _states(draw_sequence(_process(seed=42), 50))
+    b = _states(draw_sequence(_process(seed=42), 50))
+    assert a == b
+    c = _states(draw_sequence(_process(seed=43), 50))
+    assert a != c
 
 
 def test_per_stage_mode_varies_constant_mode_freezes():
     frozen = _process(mode="constant")
-    assert draw(frozen, 5).gains2 == draw(frozen, 1).gains2
+    assert _stage(frozen, 5).gains2 == _stage(frozen, 1).gains2
     moving = _process(mode="per_stage")
-    assert draw(moving, 5).gains2 != draw(moving, 1).gains2
+    assert _stage(moving, 5).gains2 != _stage(moving, 1).gains2
 
 
 def test_stage_index_validation():
-    with pytest.raises(ValueError):
-        draw(_process(), 0)
+    # a count of stages is an int >= 0, checked before anything is drawn
+    proc = _process()
+    for bad in (-1, -2, 2.5, 3.0, True, np.float64(3.0), "3", None):
+        want = f"stages must be an integer in [0, inf), got {bad!r}"
+        for draw in (draw_sequence, draw_block):
+            with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+                draw(proc, bad)
+    assert len(draw_sequence(proc, np.int64(3))) == 3
+    assert len(draw_sequence(proc, 0)) == 0 and draw_block(proc, 0).shape == (0, 2)
+
+
+def test_substreams_are_checked_before_drawing():
+    # below 0 a substream's key would be a player's engine key (-2**32: player 0's)
+    proc = _process(k=1)
+    for bad in (-1, -2**32, 1.5, 1.0, True, False, 2**64 - 2**32, 2**64, "1"):
+        want = f"substream must be an integer in [0, {2**64 - 2**32}), got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            draw_block(proc, 5, substream=bad)
+    last = draw_block(proc, 5, substream=np.uint64(2**64 - 2**32 - 1))
+    assert last.tobytes() == draw_block(proc, 5, substream=2**64 - 2**32 - 1).tobytes()
+
+
+def test_a_path_is_one_checked_block_not_a_list():
+    proc = _process(k=3, seed=19)
+    path = draw_sequence(proc, 6)
+    assert type(path) is GainPath and len(path) == 6 and path.gains2.shape == (6, 3)
+    with pytest.raises(TypeError):
+        iter(path)
+    with pytest.raises(TypeError):
+        path[0]
+    assert path == path and path != GainPath(np.array(path.gains2))  # by identity
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        path.gains2 = np.ones((6, 3))
+    # built by hand, a path is checked too
+    block = np.ones((3, 2))
+    block[1, 1], block[2, 0] = -1.0, math.nan
+    with pytest.raises(ValueError, match="^squared gain -1.0 must be positive and finite$"):
+        GainPath(block)
+    assert block.flags.writeable
 
 
 def test_seeds_above_two_to_the_63_keep_their_own_streams():
     # neighbouring seeds must not collapse onto one Philox key
     a, b = _process(seed=2**63 + 1), _process(seed=2**63 + 2)
-    assert draw(a, 1).gains2 != draw(b, 1).gains2
+    assert _stage(a, 1).gains2 != _stage(b, 1).gains2
     assert not np.array_equal(draw_block(a, 8), draw_block(b, 8))
-    assert draw(_process(seed=2**64 - 1), 1).gains2 != draw(a, 1).gains2
+    assert _stage(_process(seed=2**64 - 1), 1).gains2 != _stage(a, 1).gains2
 
 
 def test_player_streams_do_not_depend_on_network_size():
@@ -77,7 +126,7 @@ def test_player_streams_do_not_depend_on_network_size():
     small = _process(k=2, seed=9)
     large = _process(k=4, seed=9)
     for t in (1, 2, 7):
-        assert draw(large, t).gains2[:2] == draw(small, t).gains2
+        assert _stage(large, t).gains2[:2] == _stage(small, t).gains2
 
 
 @pytest.mark.parametrize("mode", ["per_stage", "constant"])
@@ -86,11 +135,10 @@ def test_engine_draws_are_addressable_by_stage(mode):
     proc = ChannelProcess(mode=mode, mean_gain2=(1.0, 0.12, 3.0),
                           eta_min=(0.1, 1.0, 2.0), eta_max=(10.0, 1.4, 2.0),
                           seed=2**63 + 5)
-    seq = draw_sequence(proc, 23)
-    assert len(seq) == 23
+    seq = draw_sequence(proc, 23).gains2
+    assert seq.shape == (23, 3)
     for t in range(1, 24):
-        assert draw(proc, t).gains2 == seq[t - 1].gains2
-    assert draw_sequence(proc, 9) == seq[:9]
+        assert draw_sequence(proc, t).gains2.tobytes() == seq[:t].tobytes()
 
 
 @pytest.mark.parametrize("mode", ["per_stage", "constant"])
@@ -161,7 +209,7 @@ def test_sampled_gains_stay_finite_inside_their_bounds(log_mean, lo_over_mean,
         return
     proc = ChannelProcess(**args)
     gains = np.concatenate([draw_block(proc, 64, substream=seed % 7)[:, 0],
-                            [s.gains2[0] for s in draw_sequence(proc, 8)]])
+                            draw_sequence(proc, 8).gains2[:, 0]])
     assert np.isfinite(gains).all() and ((lo <= gains) & (gains <= hi)).all()
 
 
@@ -182,7 +230,7 @@ def test_truncated_exponential_distribution():
 def test_engine_draws_follow_the_same_law():
     # per-(player, stage) keyed draws, distribution checked across stages
     proc = _process(k=1, seed=3)
-    sample = np.array([draw(proc, t).gains2[0] for t in range(1, 2001)])
+    sample = draw_sequence(proc, 2000).gains2[:, 0]
     mu, lo, hi = 1.0, 0.1, 10.0
     mass = acceptance_probability(mu, lo, hi)
 
@@ -195,7 +243,7 @@ def test_engine_draws_follow_the_same_law():
 
 def test_degenerate_interval_is_constant():
     proc = _process(lo=2.0, hi=2.0)
-    assert all(s.gains2 == (2.0, 2.0) for s in draw_sequence(proc, 20))
+    assert all(s.gains2 == (2.0, 2.0) for s in _states(draw_sequence(proc, 20)))
     block = draw_block(proc, 10)
     assert (block == 2.0).all()
 
@@ -231,7 +279,7 @@ def test_infinite_gain_floor_or_mean_rejected():
         _process(mean=math.inf)
     unbounded = _process(k=1, lo=0.1, hi=math.inf, seed=4)  # no upper cut is fine
     assert np.isfinite(draw_block(unbounded, 50)).all()
-    assert math.isfinite(draw(unbounded, 3).gains2[0])
+    assert math.isfinite(_stage(unbounded, 3).gains2[0])
 
 
 def test_from_config_broadcasts_the_mean():
@@ -262,7 +310,7 @@ def test_block_replays_per_substream():
 def test_block_constant_mode_tiles_stage_one():
     proc = _process(mode="constant", seed=5)
     block = draw_block(proc, 6)
-    row = np.asarray(draw(proc, 1).gains2)
+    row = np.asarray(_stage(proc, 1).gains2)
     np.testing.assert_array_equal(block, np.tile(row, (6, 1)))
 
 
@@ -281,13 +329,13 @@ def test_a_kept_path_is_the_path_drawn_anew(mode):
     proc = _process(k=3, mode=mode, seed=2**63 + 17)
     first = draw_sequence(proc, 35)
     hits = channel._gain_block.cache_info().hits
-    # an equal process built anew is the same key
+    # an equal process built anew is the same key, and a hit is the kept path itself
     again = draw_sequence(_process(k=3, mode=mode, seed=2**63 + 17), 35)
-    assert channel._gain_block.cache_info().hits == hits + 1
+    assert channel._gain_block.cache_info().hits == hits + 1 and again is first
     channel._gain_block.cache_clear()
     fresh = draw_sequence(proc, 35)
     assert _path_bytes(again) == _path_bytes(first) == _path_bytes(fresh)
-    assert [s.gains2 for s in again] == [s.gains2 for s in fresh]
+    assert _states(again) == _states(fresh)
     # the key is the whole (process, stages) pair
     assert len(draw_sequence(proc, 34)) == 34
     other = _path_bytes(draw_sequence(_process(k=3, mode=mode, seed=2**63 + 18), 35))
@@ -298,8 +346,8 @@ def test_a_kept_path_is_the_path_drawn_anew(mode):
 def test_a_kept_path_is_read_only():
     proc = _process(k=2, seed=31)
     path = draw_sequence(proc, 12)
-    block = channel._gain_block(proc, 12)
-    arrays = [path.gains2, block]
+    assert channel._gain_block(proc, 12) is path
+    arrays = [path.gains2]
     while isinstance(arrays[-1].base, np.ndarray):
         arrays.append(arrays[-1].base)
     for array in arrays:
@@ -311,14 +359,17 @@ def test_a_kept_path_is_read_only():
 
 
 def test_replacing_a_stage_leaves_the_kept_path_alone():
+    # a path is no list: a stage cannot be replaced, in the path or its block
     proc = _process(k=2, seed=37)
     want = _path_bytes(draw_sequence(proc, 8))
     path = draw_sequence(proc, 8)
-    path[3] = ChannelState((5.0, 6.0))
-    assert path[3].gains2 == (5.0, 6.0)
+    with pytest.raises(TypeError):
+        path[3] = ChannelState((5.0, 6.0))
+    with pytest.raises(ValueError, match="read-only"):
+        path.gains2[3] = (5.0, 6.0)
     again = draw_sequence(proc, 8)
     assert _path_bytes(again) == want
-    assert again[3].gains2 != (5.0, 6.0)
+    assert _stage(proc, 4).gains2 != (5.0, 6.0)
 
 
 def test_a_bad_gain_raises_on_every_call(monkeypatch):
@@ -349,7 +400,6 @@ def test_no_draw_reads_os_entropy():
         proc = _process(k=3, seed=5000 + seed)
         draw_sequence(proc, 20)
         draw_block(proc, 20, substream=seed)
-        draw(proc, 4)
     profile.disable()
     stats = pstats.Stats(profile).stats
     assert [name for _, _, name in stats if "urandom" in name] == []

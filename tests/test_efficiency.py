@@ -2,6 +2,8 @@
 
 import math
 import pickle
+import warnings
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from unittest import mock
 
@@ -69,6 +71,30 @@ def test_info_theoretic_derivs_match_finite_differences():
     rng = np.random.default_rng(4)
     _assert_derivs_match_finite_differences(InfoTheoretic.from_c(0.8),
                                             rng.uniform(0.2, 6.0, size=40))
+
+
+def test_info_theoretic_deriv_is_finite_near_zero_and_past_the_squares():
+    # c/x**2 exp(-c/x) against 50 digits where x*x underflows or overflows, or
+    # c/(x*x) overflows: inf * 0 gave nan with RuntimeWarnings
+    xs = [1e-170, 1.5e-154, 2e-154, 1e-300, 1e-310, 5e-324, 1e155, 1.7e308]
+    for c in (1.0, 100.0, 1e157, 1e-300, 1e-307):
+        model = InfoTheoretic.from_c(c)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [model.deriv(x) for x in xs]
+            array = model.deriv(np.array(xs))
+        assert array.tolist() == got
+        with localcontext() as ctx:
+            ctx.prec = 50
+            for x, value in zip(xs, got):
+                dc, dx = Decimal(c), Decimal(x)
+                want = dc / (dx * dx) * (-dc / dx).exp()
+                assert type(value) is float and math.isfinite(value)
+                assert abs(Decimal(value) - want) <= Decimal(1e-12) * want + Decimal(1e-323)
+    # wherever x*x is a normal float and c/(x*x) finite, the bits are the plain formula's
+    model = InfoTheoretic.from_c(0.8)
+    for x in (1.5e-154, 1e-100, 1e-3, 0.4, 7.0, 1e100, 1.3e154):
+        assert model.deriv(x) == 0.8 / (x * x) * np.exp(-0.8 / x)
 
 
 def test_zero_sinr_gives_zero_efficiency():

@@ -178,7 +178,7 @@ def test_batched_engine_is_the_per_stage_engine(seed, k, plan_kind, channel, scr
         mode = ChannelMode.CONSTANT if channel == "constant" else ChannelMode.PER_STAGE
         process = ChannelProcess(mode=mode, mean_gain2=cfg.eta_min, eta_min=cfg.eta_min,
                                  eta_max=cfg.eta_max, seed=int(rng.integers(2**63)))
-        gains = np.array([s.gains2 for s in draw_sequence(process, stages)])
+        gains = np.array(draw_sequence(process, stages).gains2)
     if low_gain:  # below eta_min, where a prescription can exceed its cap
         rows = slice(None) if channel == "constant" else int(rng.integers(stages))
         gains[rows, int(rng.integers(k))] *= 10.0 ** rng.uniform(-4.0, -0.5)

@@ -15,7 +15,7 @@ PUBLIC_NAMES = [
     "RgBounds", "SaturatedRegimeError", "SolverError", "StageRecord", "TriggerStrategy",
     "UniquenessRiskWarning", "UtilityProfile", "acceptance_probability",
     "averaged_utility_drg", "averaged_utility_frg", "delta_gain",
-    "draw", "draw_block", "draw_sequence", "drg_truncation_horizon", "dynamics_db",
+    "draw_block", "draw_sequence", "drg_truncation_horizon", "dynamics_db",
     "equal_action_utility", "fig1_region", "fig2_dynamics_vs_t", "fig3_dynamics_vs_lambda",
     "fig4_welfare_vs_load", "fig5_frg_ratio_vs_t", "fig5_t0_sweep", "lambda_bound",
     "leader_coefficient", "make_machines", "ne_action", "ne_profile", "op_profile",
@@ -39,7 +39,6 @@ MODULE_CACHES = {
     "channel._gain_block": 1,
     "efficiency._packet_beta_star": 256,
     "repeated._phase_labels": None,
-    "static_game._column_names": None,
 }
 
 

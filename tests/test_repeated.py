@@ -969,3 +969,17 @@ def test_punish_interference_adds_left_to_right():
     received = [1.0, 1e-16, 1e-16]
     assert math.fsum(received) + cfg.sigma2 == math.nextafter(1.0, 2.0)
     assert repeated._punish_interference(cfg)[0] == 1.0
+    # every player's total is that one left-to-right sum without it
+    rng = np.random.default_rng(29)
+    for k in [1, 2, 3, 8, 25, 35] * 20:
+        cfg = NetworkConfig(k=k, n=8 * k, sigma2=10.0 ** rng.uniform(-9.0, 1.0), rates=1.0,
+                            p_max=tuple(10.0 ** rng.uniform(-6.0, 3.0, k)),
+                            eta_min=tuple(10.0 ** rng.uniform(-6.0, 3.0, k)), eta_max=1e9)
+        received = [p * eta for p, eta in zip(cfg.p_max, cfg.eta_min)]
+        want = []
+        for i in range(k):
+            total = 0.0
+            for x in received[:i] + received[i + 1:]:
+                total += x
+            want.append(total + cfg.sigma2)
+        assert repeated._punish_interference(cfg) == want
