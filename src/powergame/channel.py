@@ -33,6 +33,7 @@ from numbers import Integral
 
 import numpy as np
 
+from .efficiency import _integer_field
 from .errors import ChannelConfigError
 from .static_game import ChannelState, NetworkConfig
 
@@ -71,6 +72,7 @@ class ChannelProcess:
             object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
         if not (len(self.mean_gain2) == len(self.eta_min) == len(self.eta_max)):
             raise ChannelConfigError("per-player channel fields must share a length")
+        object.__setattr__(self, "seed", _integer_field(self.seed, "seed", ChannelConfigError))
         if not 0 <= self.seed < 2**64:
             raise ChannelConfigError("seed must fit in an unsigned 64-bit word")
         for mu, lo, hi in zip(self.mean_gain2, self.eta_min, self.eta_max):

@@ -46,6 +46,7 @@ from .channel import ChannelMode, ChannelProcess, GainPath, draw_sequence
 from .efficiency import (
     InfoTheoretic,
     PacketSuccess,
+    _integer_field,
     solve_all,
 )
 from .errors import (
@@ -124,9 +125,7 @@ def _field(fields, name: str, kind, where: str):
 def _integer(value) -> int:
     """An integer field: an int, an integral float or a decimal string, never
     a bool, so a non-integral size is rejected rather than truncated."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError
-    return int(value)
+    return _integer_field(int(value) if isinstance(value, str) else value, "field")
 
 
 def _reals(value):

@@ -45,7 +45,8 @@ import operator
 import warnings
 from dataclasses import dataclass, field
 from itertools import repeat
-from math import expm1, inf, log, log1p, nan
+from math import expm1, inf, isfinite, log, log1p, nan
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -63,8 +64,7 @@ def _sinr_formula(positive: bool):
     The domain is x > 0 when `positive` is set and x >= 0 otherwise.  A float
     (numpy float64 included) is checked and evaluated as itself; formulas use
     numpy ufuncs (``np.exp``, ``np.power``) and ``x * x`` so that it gets the
-    bits of a 0-d array.  Where a float divides by zero (``InfoTheoretic.value``
-    at x = 0), and for any other input, the formula runs on a float array.
+    bits of a 0-d array.  Any other input runs the formula on a float array.
     A list of numbers (the one-profile SINRs of ``static_game``) is checked in
     Python, NaN failing, and becomes that array in one ``np.array`` call; a list
     Python cannot compare with 0.0 (nested, or of strings) takes the array path.
@@ -78,10 +78,7 @@ def _sinr_formula(positive: bool):
             if isinstance(x, float):
                 if not in_domain(x, 0.0):
                     raise ValueError(message)
-                try:
-                    return float(formula(obj, x, *args, **kwargs))
-                except ZeroDivisionError:
-                    pass
+                return float(formula(obj, x, *args, **kwargs))
             elif type(x) is list:
                 try:
                     inside = all(map(in_domain, x, repeat(0.0)))
@@ -115,7 +112,7 @@ class PacketSuccess:
             finite = False
         if not finite:
             raise ValueError("packet length m must round to a finite float (below about 1.8e308)")
-        if int(self.m) != self.m or self.m < 1:
+        if isinstance(self.m, (bool, np.bool_)) or int(self.m) != self.m or self.m < 1:
             raise ValueError("packet length m must be a positive integer")
         object.__setattr__(self, "m", int(self.m))
 
@@ -225,21 +222,21 @@ class InfoTheoretic:
 
     @_sinr_formula(positive=False)
     def value(self, x):
-        if type(x) is float:  # not np.float64(-0.0), which divides to -inf; 0.0 raises instead
-            return np.exp(-self.c / x)
+        if type(x) is float:  # not np.float64(-0.0), which divides to -inf; 0.0 would raise
+            return np.exp(-self.c / x) if x else 0.0
         with np.errstate(divide="ignore"):  # x = 0 maps to exp(-inf) = 0
             return np.exp(-self.c / (x + 0.0))  # + 0.0 makes -0.0 into 0.0
 
     @_sinr_formula(positive=True)
     def deriv(self, x):
-        """f'(x) = c/x**2 exp(-c/x), in logs where x*x is no normal float or c/(x*x)
-        overflows: there exp(-c/x) can vanish, and the product would be inf * 0."""
+        """f'(x) = c/x**2 exp(-c/x), in logs where x*x or exp(-c/x) is no normal float or
+        c/(x*x) overflows: there the product would be inf * 0, or lose bits to a subnormal."""
         c = self.c
+        tiny = np.finfo(float).tiny
         with np.errstate(all="ignore"):  # the branch np.where drops may warn
-            scale = np.divide(c, x * x)
-            normal = (x * x >= np.finfo(float).tiny) & (x * x < inf) & (scale < inf)
-            return np.where(normal, scale * np.exp(-c / x),
-                            np.exp(np.log(c) - 2.0 * np.log(x) - c / x))
+            scale, decay = np.divide(c, x * x), np.exp(-c / x)
+            normal = (x * x >= tiny) & (x * x < inf) & (scale < inf) & (decay >= tiny)
+            return np.where(normal, scale * decay, np.exp(np.log(c) - 2.0 * np.log(x) - c / x))
 
     # f''/f' = (c - 2x)/x**2, so h = 0 with its positive denominators cleared,
     # (c - 2x)(n - (k-1)x) = 2(k-1)x**2, is linear in x: h, from +inf at 0 to -inf,
@@ -338,9 +335,17 @@ class CharacteristicSinrs:
 def _sizes(k, n) -> tuple[int, int]:
     """k and n as ints (2.0 is 2); a ValueError naming the first that is not a positive integer."""
     for value, what in ((k, "k"), (n, "spreading factor n")):
-        if not (1 <= value < inf and int(value) == value):
+        if isinstance(value, (bool, np.bool_)) or not (1 <= value < inf and int(value) == value):
             raise ValueError(f"{what} must be a positive integer")
     return int(k), int(n)
+
+
+def _integer_field(value, name: str, error: type[Exception] = ValueError) -> int:
+    """value as an int (2.0 is 2); ``error`` naming the field for a bool or a non-integer."""
+    if not isinstance(value, bool) and isinstance(value, Real) and (
+            isinstance(value, Integral) or isfinite(value) and int(value) == value):
+        return int(value)
+    raise error(f"{name} must be an integer, got {value!r}")
 
 
 def _require_one_shot(k: int, n: int, beta_star: float) -> None:

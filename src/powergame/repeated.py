@@ -20,13 +20,12 @@ closed-form inverses for alike players serve the experiment runners.
 (stages, k) gains: detection runs only while cooperating and punishment is
 absorbing, so one stage t* fixes every phase, and a pass that guesses it
 confirms the guess from its own public signal.  It returns a ``Trace``, the
-kernel's columns behind ``StageRecord``s built when first read and then kept.
+kernel's columns, whose ``StageRecord``s are built on the first read and kept.
 """
 
 from __future__ import annotations
 
 import functools
-from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from enum import Enum
 from math import ceil, floor, log
@@ -34,7 +33,7 @@ from math import ceil, floor, log
 import numpy as np
 
 from .channel import GainPath
-from .efficiency import EfficiencyModel, _require_one_shot, equal_action_utility
+from .efficiency import EfficiencyModel, _integer_field, _require_one_shot, equal_action_utility
 from .errors import NoFiniteT0Error, PowerGameError, SaturatedRegimeError
 from .static_game import ChannelState, NetworkConfig, _equal_action
 from .static_game import _stage_payoffs, _write_table, ne_action
@@ -54,6 +53,8 @@ class FrgPlan:
     t0: int
 
     def __post_init__(self):
+        for name in ("t_total", "t0"):
+            object.__setattr__(self, name, _integer_field(getattr(self, name), name))
         if not (self.t_total >= 1 and self.t0 >= 0):
             raise ValueError("need t_total >= 1 and t0 >= 0")
 
@@ -87,8 +88,6 @@ class RgBounds:
 
 @dataclass(frozen=True)
 class StageRecord:
-    # Trace fills the instance __dict__ by field name, as the generated
-    # __init__ would: exact only while there is no __post_init__
     t: int
     gains2: tuple[float, ...]
     powers: tuple[float, ...]
@@ -103,15 +102,14 @@ _RECORD_FIELDS = tuple(f.name for f in fields(StageRecord))  # also Trace's colu
 
 
 @dataclass(frozen=True, eq=False)
-class Trace(Sequence):
-    """A played game: ``StageRecord``s over read-only columns, one per record field.
+class Trace:
+    """A played game: read-only columns, one per ``StageRecord`` field.
 
     The per-player fields are (stages, k) arrays, ``phases`` holds each stage's
-    tuple of k phase labels, the rest are (stages,) arrays.  The first full read
-    (iteration, ``==``) builds every record in one batch and keeps them; ``[t]``
-    before that builds one.  A slice is a ``Trace`` over the sliced columns, so
-    it keeps its ``t`` values; ``==`` compares the records with any sequence, and
-    ``[t] = record`` replaces records as in a list, rebuilding the columns.
+    tuple of k phase labels, the rest are (stages,) arrays.  The first iteration
+    or ``[t]`` builds every record once through ``StageRecord`` and keeps them.
+    A slice is a ``Trace`` over the sliced columns, so it keeps its ``t`` values;
+    ``[t] = record`` replaces a record as in a list, rebuilding the columns.
     """
 
     t: np.ndarray
@@ -128,22 +126,16 @@ class Trace(Sequence):
             if isinstance(column, np.ndarray):
                 column.setflags(write=False)
 
-    def _build(self) -> list[StageRecord]:
-        columns = {name: getattr(self, name) for name in _RECORD_FIELDS}
-        columns.update({name: zip(*column.T.tolist()) if column.ndim == 2 else column.tolist()
-                        for name, column in columns.items() if name != "phases"})
-        new = object.__new__
-        records = [new(StageRecord) for _ in range(len(self))]
-        fills = [record.__dict__ for record in records]
-        for name, column in columns.items():  # the record's field order, as __init__ stores them
-            for fill, value in zip(fills, column):
-                fill[name] = value
-        return records
+    def _records(self) -> list[StageRecord]:
+        if "_built" not in self.__dict__:
+            cells = [column if isinstance(column, tuple) else  # phases
+                     zip(*column.T.tolist()) if column.ndim == 2 else column.tolist()
+                     for column in (getattr(self, name) for name in _RECORD_FIELDS)]
+            object.__setattr__(self, "_built", list(map(StageRecord, *cells)))
+        return self._built
 
     def __iter__(self):
-        if "_built" not in self.__dict__:
-            object.__setattr__(self, "_built", self._build())
-        return iter(self._built)
+        return iter(self._records())
 
     def __len__(self) -> int:
         return len(self.t)
@@ -151,10 +143,7 @@ class Trace(Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return Trace(*(getattr(self, name)[index] for name in _RECORD_FIELDS))
-        if "_built" in self.__dict__:
-            return self._built[index]
-        t = range(len(self))[index]  # IndexError past either end
-        return self[t:t + 1]._build()[0]
+        return self._records()[index]
 
     def __setitem__(self, index, record):
         records = list(self)
@@ -167,11 +156,6 @@ class Trace(Sequence):
         for name, column in {**columns, "_built": records}.items():
             object.__setattr__(self, name, column)
         self.__post_init__()
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return list(self) == list(other)
 
 
 @dataclass(frozen=True)
@@ -194,6 +178,10 @@ class DeviationScenario:
     stage: int
     power: float | str
     best_response_after: bool = False
+
+    def __post_init__(self):
+        for name in ("player", "stage"):
+            object.__setattr__(self, name, _integer_field(getattr(self, name), f"scenario {name}"))
 
 
 def _bound_terms(model: EfficiencyModel, k: int, n: int, beta_star: float,
@@ -362,9 +350,12 @@ def rg_bounds(cfg: NetworkConfig, model: EfficiencyModel, beta_star: float,
 
 
 def drg_truncation_horizon(lam: float, tail: float = 1e-12) -> int:
-    """Smallest T with (1 - lam)^T below the tail mass."""
-    if not 0.0 < lam < 1.0:
-        raise ValueError("lam must lie in (0, 1)")
+    """Smallest T with (1 - lam)^T below the tail mass, both in (0, 1); none where
+    1 - lam rounds to 1 (lam <= 2**-54)."""
+    if not (0.0 < lam < 1.0 and 1.0 - lam < 1.0):
+        raise ValueError(f"lam must lie in (0, 1) and round 1 - lam below 1, got {lam}")
+    if not 0.0 < tail < 1.0:
+        raise ValueError(f"tail must lie in (0, 1), got {tail}")
     return int(ceil(log(tail) / log(1.0 - lam)))
 
 

@@ -266,6 +266,17 @@ def test_config_validation():
                        eta_max=(1.0,), seed=0)
 
 
+def test_seed_takes_integers_only():
+    # a fraction or a bool must not draw seed 1's gains
+    base = _process(seed=1)
+    for seed in (1.0, np.uint64(1), np.int8(1)):
+        process = _process(seed=seed)
+        assert process == base and type(process.seed) is int
+    for seed in (1.5, True, np.True_, math.nan, "1"):
+        with pytest.raises(ChannelConfigError, match="^seed must be an integer, got "):
+            _process(seed=seed)
+
+
 def test_infinite_gain_floor_or_mean_rejected():
     # a floor at infinity is no gain; with eta_max = inf too, the band's
     # width inf - inf is undefined

@@ -573,6 +573,17 @@ def test_simulate_reports_drg_enforceability(tmp_path):
         assert res["enforceable"] == flag
 
 
+def test_drg_lam_that_rounds_away_exits_1_without_a_file(tmp_path, capsys):
+    # no --stages: the horizon comes from drg_truncation_horizon, which refuses this lam
+    out = tmp_path / "trace.csv"
+    code, _ = _run(["simulate", "--scenario", _scenario(tmp_path), "--plan", "drg",
+                    "--lam", "1e-17", "--out", str(out)])
+    assert code == 1 and not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0] == (
+        "error: lam must lie in (0, 1) and round 1 - lam below 1, got 1e-17")
+
+
 def test_override_scales_equilibrium_power(tmp_path):
     path = _scenario(tmp_path)
     _, base = _run(["equilibria", "--scenario", path])

@@ -75,9 +75,11 @@ def test_info_theoretic_derivs_match_finite_differences():
 
 def test_info_theoretic_deriv_is_finite_near_zero_and_past_the_squares():
     # c/x**2 exp(-c/x) against 50 digits where x*x underflows or overflows, or
-    # c/(x*x) overflows: inf * 0 gave nan with RuntimeWarnings
-    xs = [1e-170, 1.5e-154, 2e-154, 1e-300, 1e-310, 5e-324, 1e155, 1.7e308]
+    # c/(x*x) overflows: inf * 0 gave nan with RuntimeWarnings.  On the band
+    # c/x in [700, 745] exp(-c/x) is subnormal, where the plain product loses bits
+    fixed = [1e-170, 1.5e-154, 2e-154, 1e-300, 1e-310, 5e-324, 1e155, 1.7e308]
     for c in (1.0, 100.0, 1e157, 1e-300, 1e-307):
+        xs = fixed + (c / np.linspace(700.0, 745.0, 451)).tolist()
         model = InfoTheoretic.from_c(c)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -91,15 +93,18 @@ def test_info_theoretic_deriv_is_finite_near_zero_and_past_the_squares():
                 want = dc / (dx * dx) * (-dc / dx).exp()
                 assert type(value) is float and math.isfinite(value)
                 assert abs(Decimal(value) - want) <= Decimal(1e-12) * want + Decimal(1e-323)
-    # wherever x*x is a normal float and c/(x*x) finite, the bits are the plain formula's
+    # wherever x*x and exp(-c/x) are normal floats and c/(x*x) finite, the bits are
+    # the plain formula's; 0.8/708 leaves exp(-c/x) just normal
     model = InfoTheoretic.from_c(0.8)
-    for x in (1.5e-154, 1e-100, 1e-3, 0.4, 7.0, 1e100, 1.3e154):
+    for x in (0.8 / 708.0, 0.01, 0.4, 7.0, 1e100, 1.3e154):
         assert model.deriv(x) == 0.8 / (x * x) * np.exp(-0.8 / x)
 
 
 def test_zero_sinr_gives_zero_efficiency():
-    assert PacketSuccess(2).value(0.0) == 0.0
-    assert InfoTheoretic(1.0).value(0.0) == 0.0
+    for zero in (0.0, -0.0, np.float64(0.0), np.float64(-0.0), np.array(0.0), np.array(-0.0)):
+        for model in (PacketSuccess(2), InfoTheoretic(1.0)):
+            value = model.value(zero)
+            assert type(value) is float and value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
 def test_scalar_in_scalar_out_array_in_array_out():
@@ -119,6 +124,13 @@ def test_constructor_validation():
         InfoTheoretic.from_c(0.0)
     with pytest.raises(ValueError):
         PacketSuccess(2).value(-0.5)
+
+
+def test_packet_length_refuses_bools():
+    for m in (True, np.True_):
+        with pytest.raises(ValueError, match="packet length m must be a positive integer"):
+            PacketSuccess(m)
+    assert PacketSuccess(2.0) == PacketSuccess(2) and type(PacketSuccess(2.0).m) is int
 
 
 def test_from_c_round_trip():

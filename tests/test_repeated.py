@@ -103,6 +103,21 @@ def test_plan_validation():
         DrgPlan(lam=1.0)
 
 
+def test_plan_and_scenario_integers_refuse_bools_and_fractions():
+    # an integral number becomes an int; a bool or a fraction is refused by name
+    plan = FrgPlan(t_total=3.0, t0=np.int64(1))
+    assert plan == FrgPlan(3, 1) and type(plan.t_total) is int and type(plan.t0) is int
+    for t_total, t0, name in ((2.5, 1, "t_total"), (True, 0, "t_total"), (3, 1.5, "t0"),
+                              (3, np.True_, "t0"), (math.nan, 1, "t_total"), ("3", 1, "t_total")):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            FrgPlan(t_total, t0)
+    scenario = DeviationScenario(player=np.int32(1), stage=2.0, power="max")
+    assert (scenario.player, scenario.stage) == (1, 2) and type(scenario.stage) is int
+    for player, stage, name in ((True, 2, "player"), (1, 1.5, "stage"), (1, math.inf, "stage")):
+        with pytest.raises(ValueError, match=f"^scenario {name} must be an integer, got "):
+            DeviationScenario(player=player, stage=stage, power="max")
+
+
 def test_bounds_match_hand_arithmetic_in_the_equal_bounds_scenario():
     model, cfg, sinrs = _equal_bounds_scenario()
     bounds = rg_bounds(cfg, model, sinrs.beta_star, sinrs.gamma_tilde)
@@ -359,6 +374,14 @@ def test_truncation_horizon_brackets_the_tail():
         assert (1.0 - lam) ** t <= 1e-12 < (1.0 - lam) ** (t - 1)
     with pytest.raises(ValueError):
         drg_truncation_horizon(0.0)
+    # 1 - lam rounds to 1 at and below 2**-54, just above it the horizon is finite
+    for lam in (2.0**-54, 1e-17, 5e-324):
+        with pytest.raises(ValueError, match="^lam must lie in .* round 1 - lam below 1"):
+            drg_truncation_horizon(lam)
+    assert 2**57 < drg_truncation_horizon(2.0**-53) < 2**58  # 27.6 / 2**-53
+    for tail in (0.0, 1.0, 2.0, -0.5, math.nan):
+        with pytest.raises(ValueError, match="^tail must lie in"):
+            drg_truncation_horizon(0.5, tail=tail)
 
 
 def _strategy(plan, caps=(10.0,)):
@@ -559,7 +582,7 @@ def test_reused_strategy_forgets_the_last_punishment():
     fresh = run_game(model, cfg, channels,
                      make_machines(cfg, model, plan, sinrs.beta_star,
                                    sinrs.gamma_tilde))
-    assert reused == fresh
+    assert list(reused) == list(fresh)
     assert not any(rec.deviation_detected for rec in reused)
     assert reused[2].phases == ("cooperate", "cooperate")
 
@@ -843,7 +866,7 @@ def test_no_one_stage_deviation_pays_at_the_bounds(seed, drg, fading, late):
                                      best_response_after=True)
             trace = run_game(model, cfg, channels, strategy, scen,
                              beta_star=sinrs.beta_star)
-            assert trace[s - 1].deviation_detected
+            assert trace.deviation_detected[s - 1]
             if drg:  # the continuation from stage s, both tails counted against it
                 base = averaged_utility_drg(conform[s - 1:], i, lam)
                 dev = averaged_utility_drg(trace[s - 1:], i, lam)

@@ -110,6 +110,8 @@ def test_config_fields_must_be_finite():
     (2.5, 1, "k must be a positive integer"),
     (2, 0, "spreading factor n must be a positive integer"),
     (3, 0, "spreading factor n must be a positive integer"),
+    (True, 1, "k must be a positive integer"),
+    (2, np.True_, "spreading factor n must be a positive integer"),
 ])
 def test_config_needs_positive_integer_sizes(k, n, message):
     # the config and every solver that takes the sizes reject them alike
